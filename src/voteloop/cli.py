@@ -37,7 +37,6 @@ _RUN_KEYS = {
     "k": int,
     "rounds": int,
     "patience": int,
-    "epochs": int,
     "transform": str,
     "beta": float,
     "seed": int,
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--k", type=int)
     p_run.add_argument("--rounds", type=int)
     p_run.add_argument("--patience", type=int)
-    p_run.add_argument("--epochs", type=int)
     p_run.add_argument("--transform", choices=["identity", "exponential", "baseline_shifted"])
     p_run.add_argument("--beta", type=float)
     p_run.add_argument("--seed", type=int)

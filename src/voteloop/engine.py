@@ -23,12 +23,7 @@ import numpy as np
 
 from .answers import equivalent
 from .metrics import RoundReport
-from .optim import (
-    GradientConfig,
-    WeightedSample,
-    solve_gradient,
-    tilt_distribution,
-)
+from .optim import WeightedSample, solve_gradient, tilt_distribution
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import (
     RewardTransform,
@@ -63,7 +58,6 @@ class RunConfig:
     k: int = 10
     rounds: int = 15
     patience: int = 5
-    epochs: int = 3
     transform: str = "identity"
     beta: float = 0.1
     seed: int = 0
@@ -74,8 +68,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.k < 1 or self.rounds < 1 or self.patience < 1 or self.epochs < 1:
-            raise ValueError("k, rounds, patience, and epochs must all be >= 1")
+        if self.k < 1 or self.rounds < 1 or self.patience < 1:
+            raise ValueError("k, rounds, and patience must all be >= 1")
         if self.backend not in ("tabular", "softmax"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.transform not in ("identity", "exponential", "baseline_shifted"):
@@ -354,6 +348,7 @@ def run(
         result.datasets.append(dataset)
 
         degenerate: list[str] = []
+        solver: dict[str, float] = {}
         if config.backend == "tabular":
             log_w = _chain_log_weights(prompts, dataset, transform, m, prev_majority, equiv)
             result.weight_history.append(log_w)
@@ -361,15 +356,21 @@ def run(
         else:
             samples = dataset.weighted_samples(prompts.prompts)
             start = policy if config.warm_start else pi0
-            solver_config = GradientConfig(epochs=config.epochs)
-            policy, solve_report = solve_gradient(start, samples, solver_config)
+            policy, solve_report = solve_gradient(start, samples)
             objective = solve_report.objective_value
+            solver = {
+                "iterations": solve_report.iterations,
+                "grad_norm": solve_report.grad_norm,
+                "unconverged": solve_report.unconverged,
+                "stalled": solve_report.stalled,
+            }
 
         for prompt in degenerate:
             result.degenerate_events.append((m, prompt))
 
         result.policies.append(policy)
         report = eval_hook(m, policy, objective, len(degenerate))
+        report.solver = solver
         result.reports.append(report)
         checkpoint(m, policy, dataset)
         prev_majority = {x: rec.majority for x, rec in dataset.records.items()}

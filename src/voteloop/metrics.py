@@ -43,6 +43,9 @@ class RoundReport:
     mean_entropy: dict[str, float] = field(default_factory=dict)
     objective: float = 0.0
     degenerate_prompts: int = 0
+    # Softmax-backend solver diagnostics (iterations, grad_norm, unconverged,
+    # stalled); empty for the base round and the tabular backend.
+    solver: dict[str, float] = field(default_factory=dict)
 
 
 def maj_at_k(
@@ -129,6 +132,8 @@ def _rows(report: RoundReport) -> list[tuple[int, str, str, float]]:
         rows.append((report.round_index, split, "mean_entropy", report.mean_entropy[split]))
     rows.append((report.round_index, "run", "objective", report.objective))
     rows.append((report.round_index, "run", "degenerate_prompts", float(report.degenerate_prompts)))
+    for name, value in report.solver.items():
+        rows.append((report.round_index, "run", f"solver_{name}", float(value)))
     return rows
 
 

@@ -14,7 +14,11 @@ and iterating it for m rounds telescopes into the product form
 
 which product_form_oracle evaluates directly as an independent check on
 the iterated path. For softmax policies the same objective is ascended by
-full-batch gradient steps with a monotone (backtracking) line search.
+full-batch gradient steps with a monotone (backtracking) line search. All
+prompts of a round ascend together: their logits and per-chain weights sit
+in one padded [prompts, chains] array, every prompt keeps its own step size
+and line search, and prompts that converge or stall are masked out while
+the rest continue.
 
 All products and normalizations run in log space with the usual max-shift,
 so per-round exponential weights as sharp as exp(100) compose over many
@@ -77,6 +81,8 @@ class SolveReport:
     grad_norm: float
     iterations: int
     converged: bool
+    unconverged: int  # prompts not converged
+    stalled: int  # prompts whose line search stalled at float resolution
     note: str = ""
     objective_trace: list[float] = field(default_factory=list)
 
@@ -232,13 +238,135 @@ class GradientConfig:
     learning_rate: float = 0.1
     max_iters: int = 10_000
     grad_tolerance: float = 1e-8
-    # Passes over the sample list; meaningful for mini-batching, recorded
-    # for provenance in the default full-batch mode.
-    epochs: int = 3
 
     def __post_init__(self):
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not (self.grad_tolerance >= 0):
+            raise ValueError("grad_tolerance must be nonnegative")
+
+
+STALL_NOTE = "line search stalled at float resolution"
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum along the chain axis strictly left to right, so zero padding on
+    the right cannot change the bits (np.sum goes pairwise from 8 terms)."""
+    return np.add.accumulate(a, axis=1)[:, -1]
+
+
+def _softmax_rows(z: np.ndarray, temperature: float) -> np.ndarray:
+    q = z / temperature
+    q = q - q.max(axis=1, keepdims=True)
+    e = np.exp(q)
+    return e / _row_sum(e)[:, None]
+
+
+def _objective_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.ndarray:
+    """Per row, sum of cnt * log softmax(z); -inf when a counted chain has
+    zero probability. Uncounted chains and padding add exact-zero terms to
+    the per-row dot that np.matmul runs on a stack of vector pairs; BLAS
+    (OpenBLAS ddot) adds the terms of a dot under 16 long in order, so the
+    zeros leave a row's bits unchanged."""
+    with np.errstate(divide="ignore"):
+        logp = np.where(cnt > 0, np.log(_softmax_rows(z, temperature)), 0.0)
+    return np.matmul(cnt[:, None, :], logp[:, :, None])[:, 0, 0]
+
+
+def _solve_batch(
+    logits: Sequence[np.ndarray],
+    counts: Sequence[np.ndarray],
+    temperature: float,
+    config: GradientConfig,
+) -> list[tuple[np.ndarray, float, int, bool, list[float], str]]:
+    """Ascend every prompt's objective at once; returns one (logits,
+    grad_norm, iters, converged, objective trace, note) tuple per prompt.
+
+    Rows are padded to the widest prompt with -inf logits and zero counts,
+    which contribute exact zeros to every row reduction. Each row keeps its
+    own step size, line search and iteration count; a row leaves the active
+    set once it converges, stalls or runs out of iterations.
+    """
+    n = len(logits)
+    if n == 0:
+        return []
+    widths = [len(row) for row in logits]
+    z = np.full((n, max(widths)), -np.inf)
+    cnt = np.zeros_like(z)
+    for i, (row, c) in enumerate(zip(logits, counts)):
+        z[i, : widths[i]] = row
+        cnt[i, : widths[i]] = c
+    total = _row_sum(cnt)
+    obj = _objective_rows(z, cnt, temperature)
+    traces = [[v] for v in obj.tolist()]
+    grad_norm = np.zeros(n)
+    converged = np.ones(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    notes = [""] * n
+
+    def gradient(rows: np.ndarray) -> np.ndarray:
+        p = _softmax_rows(z[rows], temperature)
+        return (cnt[rows] - total[rows, None] * p) / temperature
+
+    # Step sizes act on the weight-normalized gradient so the scale is
+    # independent of the total sample weight; backtracking keeps each
+    # objective nondecreasing, doubling on clean successes.
+    step = np.full(n, float(config.learning_rate))
+    live = np.flatnonzero(total > 0)
+    ended = []  # stalled rows, whose final gradient decides convergence
+    for _ in range(config.max_iters):
+        if live.size == 0:
+            break
+        grad = gradient(live)
+        finite = np.all(np.isfinite(grad), axis=1)
+        for i in live[~finite]:
+            grad_norm[i], converged[i], notes[i] = math.inf, False, "non-finite gradient"
+        norm = np.max(np.abs(grad), axis=1)
+        done = finite & (norm <= config.grad_tolerance)
+        grad_norm[live[done]] = norm[done]
+        searching = finite & ~done
+        rows = live[searching]
+        direction = grad[searching] / total[rows, None]
+        accepted = np.zeros(rows.size, dtype=bool)
+        trying = np.arange(rows.size)
+        for _ in range(80):
+            if trying.size == 0:
+                break
+            r = rows[trying]
+            cand = z[r] + step[r, None] * direction[trying]
+            cand_obj = _objective_rows(cand, cnt[r], temperature)
+            up = cand_obj > obj[r]
+            won = r[up]
+            z[won], obj[won] = cand[up], cand_obj[up]
+            for i, v in zip(won.tolist(), obj[won].tolist()):
+                traces[i].append(v)
+            step[won] = np.minimum(step[won] * 2.0, 1e6)
+            step[r[~up]] *= 0.5
+            accepted[trying[up]] = True
+            trying = trying[~up]
+        iterations[rows] += 1
+        stalled = rows[~accepted]
+        for i in stalled:
+            notes[i] = STALL_NOTE
+        ended.append(stalled)
+        live = rows[accepted]
+    final = np.concatenate([*ended, live])  # live rows hit max_iters
+    norm = np.max(np.abs(gradient(final)), axis=1)
+    grad_norm[final] = norm
+    converged[final] = norm <= config.grad_tolerance
+    return [
+        (
+            z[i, : widths[i]].copy(),
+            float(grad_norm[i]),
+            int(iterations[i]),
+            bool(converged[i]),
+            traces[i],
+            notes[i],
+        )
+        for i in range(n)
+    ]
 
 
 def _solve_prompt(
@@ -248,61 +376,8 @@ def _solve_prompt(
     config: GradientConfig,
 ) -> tuple[np.ndarray, float, int, bool, list[float], str]:
     """Ascend one prompt's objective; returns (logits, grad_norm, iters,
-    converged, objective trace, note)."""
-
-    def softmax(z: np.ndarray) -> np.ndarray:
-        q = z / temperature
-        q = q - q.max()
-        e = np.exp(q)
-        return e / e.sum()
-
-    def objective(z: np.ndarray) -> float:
-        p = softmax(z)
-        mask = cnt > 0
-        if np.any(p[mask] == 0.0):
-            return -math.inf
-        return float(np.dot(cnt[mask], np.log(p[mask])))
-
-    total = cnt.sum()
-    z = logits.astype(float).copy()
-    obj = objective(z)
-    trace = [obj]
-    if total <= 0:
-        return z, 0.0, 0, True, trace, ""
-    # Step sizes act on the weight-normalized gradient so the scale is
-    # independent of the total sample weight; backtracking keeps the
-    # objective nondecreasing, doubling on clean successes.
-    step = config.learning_rate
-    iterations = 0
-    note = ""
-    while iterations < config.max_iters:
-        p = softmax(z)
-        grad = (cnt - total * p) / temperature
-        if not np.all(np.isfinite(grad)):
-            return z, math.inf, iterations, False, trace, "non-finite gradient"
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= config.grad_tolerance:
-            return z, grad_norm, iterations, True, trace, ""
-        direction = grad / total
-        accepted = False
-        for _ in range(80):
-            cand = z + step * direction
-            cand_obj = objective(cand)
-            if cand_obj > obj:
-                z, obj = cand, cand_obj
-                trace.append(obj)
-                accepted = True
-                step = min(step * 2.0, 1e6)
-                break
-            step *= 0.5
-        iterations += 1
-        if not accepted:
-            note = "line search stalled at float resolution"
-            break
-    p = softmax(z)
-    grad = (cnt - total * p) / temperature
-    grad_norm = float(np.max(np.abs(grad)))
-    return z, grad_norm, iterations, grad_norm <= config.grad_tolerance, trace, note
+    converged, objective trace, note). A one-row call into _solve_batch."""
+    return _solve_batch([logits], [cnt], temperature, config)[0]
 
 
 def solve_gradient(
@@ -312,38 +387,30 @@ def solve_gradient(
 ) -> tuple[SoftmaxPolicy, SolveReport]:
     """Maximize the weighted log-likelihood over softmax logits.
 
-    Per-prompt subproblems are independent and solved separately; the report
-    aggregates the worst gradient norm and iteration count. The per-prompt
+    Per-prompt subproblems are independent and ascended together in one
+    batch; the report aggregates the worst gradient norm and iteration
+    count and counts unconverged and stalled prompts. The per-prompt
     objective trace is concatenated in prompt order and is nondecreasing
     within each prompt by construction.
     """
     counts = _group_counts(policy, samples)
-    new_logits: dict[str, np.ndarray] = {}
-    worst_grad = 0.0
-    worst_iters = 0
-    all_converged = True
-    notes: list[str] = []
-    trace_all: list[float] = []
-    for prompt in policy.space.prompts:
-        if prompt not in counts:
-            continue
-        z, gnorm, iters, converged, trace, note = _solve_prompt(
-            policy.logits(prompt), counts[prompt], policy.temperature, config
-        )
-        new_logits[prompt] = z
-        worst_grad = max(worst_grad, gnorm)
-        worst_iters = max(worst_iters, iters)
-        all_converged = all_converged and converged
-        trace_all.extend(trace)
-        if note:
-            notes.append(f"{prompt}: {note}")
+    prompts = [x for x in policy.space.prompts if x in counts]
+    results = _solve_batch(
+        [policy.logits(x) for x in prompts],
+        [counts[x] for x in prompts],
+        policy.temperature,
+        config,
+    )
+    new_logits = {x: z for x, (z, *_) in zip(prompts, results)}
     solved = policy.with_logits(new_logits) if new_logits else policy
     report = SolveReport(
         objective_value=weighted_mle_objective(solved, samples),
-        grad_norm=worst_grad,
-        iterations=worst_iters,
-        converged=all_converged,
-        note="; ".join(notes),
-        objective_trace=trace_all,
+        grad_norm=max((r[1] for r in results), default=0.0),
+        iterations=max((r[2] for r in results), default=0),
+        converged=all(r[3] for r in results),
+        unconverged=sum(not r[3] for r in results),
+        stalled=sum(r[5] == STALL_NOTE for r in results),
+        note="; ".join(f"{x}: {r[5]}" for x, r in zip(prompts, results) if r[5]),
+        objective_trace=[v for r in results for v in r[4]],
     )
     return solved, report

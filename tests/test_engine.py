@@ -188,6 +188,7 @@ class TestRunLoop:
         config = RunConfig(k=9, rounds=3, transform="baseline_shifted", beta=0.1, seed=4)
         result = run(config, corpus.space, corpus.base, hook)
         assert len(result.reports) == 4
+        assert all(report.solver == {} for report in result.reports)
 
     def test_softmax_backend_improves_on_easy_corpus(self):
         corpus, hook = corpus_fixture(n_train=12, n_test=4, seed=29, p_range=(0.7, 0.9))
@@ -199,6 +200,12 @@ class TestRunLoop:
         config = RunConfig(k=25, rounds=3, backend="softmax", transform="exponential", beta=0.5, seed=6)
         result = run(config, corpus.space, pi0, hook)
         assert result.reports[result.best_round].maj1_acc["train"] >= result.reports[0].maj1_acc["train"]
+        assert result.reports[0].solver == {}
+        for report in result.reports[1:]:
+            assert set(report.solver) == {"iterations", "grad_norm", "unconverged", "stalled"}
+            assert report.solver["iterations"] >= 1
+            assert 0 <= report.solver["stalled"] <= len(corpus.space.prompts)
+            assert 0 <= report.solver["unconverged"] <= len(corpus.space.prompts)
 
     def test_backend_type_mismatch_raises(self):
         corpus, hook = corpus_fixture(n_train=4, n_test=2)

@@ -104,6 +104,7 @@ def sample_reports():
                 mean_entropy={"train": 1.0 / (r + 1), "test": 1.1 / (r + 1)},
                 objective=-10.0 + r,
                 degenerate_prompts=r % 2,
+                solver={} if r == 0 else {"iterations": 10 * r, "grad_norm": 1e-9 * r, "stalled": r},
             )
         )
     return reports
@@ -124,6 +125,8 @@ class TestEmitMetrics:
                 assert row[split]["mean_entropy"] == report.mean_entropy[split]
             assert row["run"]["objective"] == report.objective
             assert row["run"]["degenerate_prompts"] == report.degenerate_prompts
+            solver_rows = {m: v for m, v in row["run"].items() if m.startswith("solver_")}
+            assert solver_rows == {f"solver_{m}": v for m, v in report.solver.items()}
 
     def test_best_round_earliest_tie(self, tmp_path):
         reports = sample_reports()  # train majk peaks at rounds 1 and 3

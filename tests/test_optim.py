@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voteloop.optim import (
+    STALL_NOTE,
     DegeneratePromptError,
     GradientConfig,
     WeightedSample,
+    _group_counts,
+    _solve_batch,
+    _solve_prompt,
     closed_form_update,
     objective_gradient,
     product_form_oracle,
@@ -267,22 +273,18 @@ class TestSolveGradient:
         assert all(b >= a for a, b in zip(report.objective_trace, report.objective_trace[1:]))
 
     def test_reaches_normalized_weights_within_tv_tolerance(self):
+        # Closed-form oracle for a whole batch: with every chain weighted,
+        # each prompt's optimum is its normalized weight vector.
         rng = np.random.default_rng(17)
+        logits, weights = [], []
         for _ in range(25):
             n = int(rng.integers(2, 7))
-            space = PromptSpace(
-                {"p": tuple(f"c{j}" for j in range(n))},
-                {"p": {f"c{j}": str(j) for j in range(n)}},
-            )
-            policy = SoftmaxPolicy(space, {"p": rng.normal(0, 1, n)})
-            weights = rng.uniform(0.2, 5.0, n)
-            samples = [
-                WeightedSample("p", f"c{j}", float(np.log(weights[j]))) for j in range(n)
-            ]
-            solved, report = solve_gradient(policy, samples)
-            target = weights / weights.sum()
-            assert total_variation(solved.distribution("p"), target) <= 1e-6
-            trace = report.objective_trace
+            logits.append(rng.normal(0, 1, n))
+            weights.append(rng.uniform(0.2, 5.0, n))
+        results = _solve_batch(logits, weights, 1.0, GradientConfig())
+        for w, (z, _, _, _, trace, _) in zip(weights, results):
+            p = np.exp(z - z.max())
+            assert total_variation(p / p.sum(), w / w.sum()) <= 1e-6
             assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     def test_prompts_without_samples_are_untouched(self):
@@ -294,9 +296,64 @@ class TestSolveGradient:
         solved, _ = solve_gradient(policy, [WeightedSample("p0", "A", 0.0)])
         assert np.array_equal(solved.logits("p1"), policy.logits("p1"))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_batch_equals_each_prompt_solved_alone(self, data):
+        # Prompts of 2-12 chains with zero-weight chains and all-zero
+        # prompts; max_iters=200 also exercises the iteration-budget exit.
+        widths = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=6))
+        temperature = data.draw(st.sampled_from([1.0, 0.6, 2.5]))
+        logit = st.floats(-4.0, 4.0)
+        log_weight = st.one_of(st.just(-math.inf), st.floats(-3.0, 1.5))
+        chains, logits, samples = {}, {}, []
+        for i, n in enumerate(widths):
+            chains[f"p{i}"] = tuple(f"c{j}" for j in range(n))
+            logits[f"p{i}"] = data.draw(st.lists(logit, min_size=n, max_size=n))
+            for j in range(n):
+                samples.append(WeightedSample(f"p{i}", f"c{j}", data.draw(log_weight)))
+        space = PromptSpace(chains, {p: {c: c for c in cs} for p, cs in chains.items()})
+        policy = SoftmaxPolicy(space, logits, temperature)
+        config = GradientConfig(max_iters=200)
+
+        solved, report = solve_gradient(policy, samples, config)
+        counts = _group_counts(policy, samples)
+        alone = {
+            x: _solve_prompt(policy.logits(x), counts[x], temperature, config)
+            for x in space.prompts
+        }
+        for x, (z, *_) in alone.items():
+            assert np.array_equal(solved.logits(x), z)
+        results = list(alone.values())
+        assert report.objective_trace == [v for r in results for v in r[4]]
+        assert report.grad_norm == max(r[1] for r in results)
+        assert report.iterations == max(r[2] for r in results)
+        assert report.converged == all(r[3] for r in results)
+        assert report.unconverged == sum(not r[3] for r in results)
+        assert report.stalled == sum(r[5] == STALL_NOTE for r in results)
+        assert report.note == "; ".join(f"{x}: {r[5]}" for x, r in alone.items() if r[5])
+
+    def test_zero_weight_prompt_is_returned_unchanged_and_converged(self):
+        z, grad_norm, iters, converged, trace, note = _solve_prompt(
+            np.array([0.3, -1.0]), np.zeros(2), 1.0, GradientConfig()
+        )
+        assert np.array_equal(z, [0.3, -1.0])
+        assert (grad_norm, iters, converged, trace, note) == (0.0, 0, True, [0.0], "")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GradientConfig(learning_rate=0.0)
+
+    def test_max_iters_must_be_positive(self):
+        GradientConfig(max_iters=1)
+        with pytest.raises(ValueError):
+            GradientConfig(max_iters=0)
+
+    def test_grad_tolerance_must_be_nonnegative(self):
+        GradientConfig(grad_tolerance=0.0)
+        with pytest.raises(ValueError):
+            GradientConfig(grad_tolerance=-1e-12)
+        with pytest.raises(ValueError):
+            GradientConfig(grad_tolerance=math.nan)
 
 
 class TestTabularOptimality:
