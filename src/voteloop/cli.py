@@ -44,7 +44,6 @@ _RUN_KEYS = {
     "warm_start": bool,
     "eval_k": int,
     "eval_samples": int,
-    "workers": int,
 }
 _CORPUS_KEYS = {
     "corpus_n_train": int,
@@ -175,7 +174,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         eval_k,
         run_config.seed,
         eval_samples=run_config.eval_samples,
-        workers=run_config.workers,
     )
     pi0 = _base_policy(corpus, run_config)
     result = run(run_config, corpus.space, pi0, hook, out_dir=out_dir)
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cold-start", dest="warm_start", action="store_false", default=None)
     p_run.add_argument("--eval-k", dest="eval_k", type=int)
     p_run.add_argument("--eval-samples", dest="eval_samples", type=int)
-    p_run.add_argument("--workers", type=int)
     p_run.add_argument("--corpus-n-train", dest="corpus_n_train", type=int)
     p_run.add_argument("--corpus-n-test", dest="corpus_n_test", type=int)
     p_run.add_argument("--corpus-p-min", dest="corpus_p_min", type=float)

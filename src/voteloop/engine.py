@@ -17,21 +17,15 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
-from .answers import equivalent
 from .metrics import RoundReport
 from .optim import WeightedSample, solve_gradient, tilt_distribution
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
-from .rewards import (
-    RewardTransform,
-    log_transform,
-    score_candidates,
-    tie_break_stream,
-)
-from .util import pmap, substream
+from .rewards import RewardTransform, log_transform, vote_classes
+from .util import substream
 
 __all__ = [
     "RunConfig",
@@ -41,8 +35,6 @@ __all__ = [
     "generate_round",
     "run",
 ]
-
-EquivFn = Callable[[str, str], bool]
 
 LABEL_NOTE = (
     "early stopping and best-round selection read train accuracy from the "
@@ -65,7 +57,6 @@ class RunConfig:
     warm_start: bool = True
     eval_k: int | None = None
     eval_samples: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.k < 1 or self.rounds < 1 or self.patience < 1:
@@ -129,7 +120,7 @@ class OfflineDataset:
                     )
 
     @classmethod
-    def load(cls, path, equiv: EquivFn = equivalent) -> "OfflineDataset":
+    def load(cls, path) -> "OfflineDataset":
         rows: dict[str, list[tuple[int, str, str, int, float]]] = {}
         round_index = 0
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,9 +144,9 @@ class OfflineDataset:
             entries.sort()
             candidates = tuple((chain, answer) for _, chain, answer, _, _ in entries)
             rewards = tuple(r for *_, r, _ in entries)
-            majority = next(
-                answer for _, _, answer, r, _ in entries if r == 1
-            )
+            # The rewarded answers are the winning class as sampled; its
+            # least member is the majority the vote returned.
+            majority = min(answer for _, _, answer, r, _ in entries if r == 1)
             records[prompt] = PromptRecord(
                 candidates=candidates,
                 rewards=rewards,
@@ -165,17 +156,44 @@ class OfflineDataset:
         return cls(round_index=round_index, records=records)
 
 
+def _log_weigher(
+    space: PromptSpace,
+    transform: RewardTransform,
+    round_index: int,
+    prev_majority: dict[str, str] | None,
+):
+    """The per-chain log-weight rule of one round, as a function
+    (prompt, class ids, 0/1 rewards) -> log-weights.
+
+    log_transform is evaluated once per (reward, previous reward) pair; the
+    previous reward of a chain is its class's indicator against the
+    previous round's majority, read only by the baseline-shifted transform.
+    """
+    shifted = transform.kind == "baseline_shifted" and round_index >= 2
+    table = np.array(
+        [
+            log_transform(transform, reward, prev if shifted else None, round_index)
+            for reward in (0, 1)
+            for prev in (0, 1)
+        ]
+    )
+
+    def weigh(prompt: str, classes: np.ndarray, reward: np.ndarray) -> np.ndarray:
+        prev = space.class_of(prompt, prev_majority[prompt]) if shifted else -1
+        return table[2 * reward + (classes == prev)]
+
+    return weigh
+
+
 def generate_round(
     policy,
     prompts: PromptSpace,
     k: int,
     seed: int,
-    equiv: EquivFn = equivalent,
     *,
     transform: RewardTransform = RewardTransform("identity"),
     round_index: int = 1,
     prev_majority: dict[str, str] | None = None,
-    workers: int = 1,
 ) -> OfflineDataset:
     """Sample k candidates per prompt, vote, and attach transform log-weights.
 
@@ -187,28 +205,25 @@ def generate_round(
     if transform.kind == "baseline_shifted" and round_index >= 2 and prev_majority is None:
         raise ValueError("baseline_shifted needs prev_majority from round 2 on")
 
-    def one(prompt: str) -> tuple[str, PromptRecord]:
-        rng = substream(seed, "gen", round_index, prompt)
-        chains = policy.sample(prompt, k, rng)
-        answers = [prompts.answer_of(prompt, c) for c in chains]
-        tie_rng = tie_break_stream(seed, round_index, prompt, answers, equiv)
-        scored = score_candidates(list(zip(chains, answers)), tie_rng, equiv, prompt=prompt)
-        log_weights = []
-        for (_, answer), reward in zip(scored.candidates, scored.rewards):
-            prev_reward = None
-            if transform.kind == "baseline_shifted" and round_index >= 2:
-                prev_reward = 1 if equiv(answer, prev_majority[prompt]) else 0
-            log_weights.append(log_transform(transform, reward, prev_reward, round_index))
-        record = PromptRecord(
-            candidates=scored.candidates,
-            rewards=scored.rewards,
-            log_weights=tuple(log_weights),
-            majority=scored.majority,
+    weigh = _log_weigher(prompts, transform, round_index, prev_majority)
+    records = {}
+    for prompt in prompts.prompts:
+        idx = policy.sample_indices(prompt, k, substream(seed, "gen", round_index, prompt))
+        classes = prompts.answer_classes(prompt)[idx]
+        chains, answers = prompts.chains(prompt), prompts.answers(prompt)
+        picked = idx.tolist()
+        sampled = [answers[i] for i in picked]
+        winner, majority = vote_classes(
+            classes, sampled, partial(substream, seed, "tie", round_index, prompt)
         )
-        return prompt, record
-
-    pairs = pmap(one, prompts.prompts, workers)
-    return OfflineDataset(round_index=round_index - 1, records=dict(pairs))
+        reward = (classes == winner).astype(int)
+        records[prompt] = PromptRecord(
+            candidates=tuple(zip((chains[i] for i in picked), sampled)),
+            rewards=tuple(reward.tolist()),
+            log_weights=tuple(weigh(prompt, classes, reward).tolist()),
+            majority=majority,
+        )
+    return OfflineDataset(round_index=round_index - 1, records=records)
 
 
 @dataclass
@@ -237,26 +252,19 @@ def _chain_log_weights(
     transform: RewardTransform,
     round_index: int,
     prev_majority: dict[str, str] | None,
-    equiv: EquivFn,
 ) -> dict[str, np.ndarray]:
     """Exact per-chain log-weights implied by the sampled majority labels.
 
     The vote fixes the pseudo-label; the reward of *any* chain is then its
-    answer's indicator against that label, so the tabular update can weight
-    the full distribution, not just the drawn candidates.
+    answer class's indicator against that label, so the tabular update can
+    weight the full distribution, not just the drawn candidates.
     """
+    weigh = _log_weigher(space, transform, round_index, prev_majority)
     out: dict[str, np.ndarray] = {}
     for prompt in space.prompts:
-        majority = dataset.records[prompt].majority
-        row = np.empty(len(space.chains(prompt)))
-        for i, chain in enumerate(space.chains(prompt)):
-            answer = space.answer_of(prompt, chain)
-            reward = 1 if equiv(answer, majority) else 0
-            prev_reward = None
-            if transform.kind == "baseline_shifted" and round_index >= 2:
-                prev_reward = 1 if equiv(answer, prev_majority[prompt]) else 0
-            row[i] = log_transform(transform, reward, prev_reward, round_index)
-        out[prompt] = row
+        classes = space.answer_classes(prompt)
+        winner = space.class_of(prompt, dataset.records[prompt].majority)
+        out[prompt] = weigh(prompt, classes, classes == winner)
     return out
 
 
@@ -295,7 +303,6 @@ def run(
     pi0,
     eval_hook,
     *,
-    equiv: EquivFn = equivalent,
     out_dir=None,
 ) -> RunResult:
     """Execute the full loop and return per-round reports plus checkpoints.
@@ -339,18 +346,16 @@ def run(
             prompts,
             config.k,
             config.seed,
-            equiv,
             transform=transform,
             round_index=m,
             prev_majority=prev_majority,
-            workers=config.workers,
         )
         result.datasets.append(dataset)
 
         degenerate: list[str] = []
         solver: dict[str, float] = {}
         if config.backend == "tabular":
-            log_w = _chain_log_weights(prompts, dataset, transform, m, prev_majority, equiv)
+            log_w = _chain_log_weights(prompts, dataset, transform, m, prev_majority)
             result.weight_history.append(log_w)
             policy, degenerate, objective = _update_tabular(policy, log_w)
         else:

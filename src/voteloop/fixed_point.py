@@ -19,6 +19,7 @@ to floating-point accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .answers import equivalent
 from .optim import closed_form_update
 from .policy import TabularPolicy
-from .rewards import class_key, equivalence_classes, majority_vote, tie_break_stream
+from .rewards import class_key, equivalence_classes, vote_classes
 from .util import substream, total_variation
 
 __all__ = [
@@ -125,14 +126,15 @@ def _rewards_at(
     policy: TabularPolicy,
     iteration: int,
     seed: int,
-    equiv: EquivFn,
     mode: str,
     k: int | None,
 ) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Rewards for every (prompt, chain) plus the majority label per prompt.
 
     population mode: the label is the argmax answer class of the marginal.
-    sampled mode: the label is the majority class of k draws from the policy.
+    sampled mode: the label is the majority class of k draws from the
+    policy, voted like a training round (over the space's class ids, with
+    the "tie" stream).
     """
     space = policy.space
     rewards: dict[str, np.ndarray] = {}
@@ -140,21 +142,19 @@ def _rewards_at(
     for prompt in space.prompts:
         if mode == "population":
             rng = population_tie_stream(seed, iteration, prompt)
-            label, members = population_majority(policy, prompt, equiv, rng)
+            label, members = population_majority(policy, prompt, rng=rng)
+            row = np.array([1.0 if a in members else 0.0 for a in space.answers(prompt)])
         else:
             gen = substream(seed, "fp-gen", iteration, prompt)
-            sampled = policy.sample(prompt, k, gen)
-            answers = [space.answer_of(prompt, c) for c in sampled]
-            tie_rng = tie_break_stream(seed, iteration, prompt, answers, equiv)
-            label = majority_vote(answers, tie_rng, equiv)
-            members = None
-        row = np.zeros(len(space.chains(prompt)))
-        for i, chain in enumerate(space.chains(prompt)):
-            answer = space.answer_of(prompt, chain)
-            if members is not None:
-                row[i] = 1.0 if answer in members else 0.0
-            else:
-                row[i] = 1.0 if equiv(answer, label) else 0.0
+            idx = policy.sample_indices(prompt, k, gen)
+            classes = space.answer_classes(prompt)
+            answers = space.answers(prompt)
+            winner, label = vote_classes(
+                classes[idx],
+                [answers[i] for i in idx.tolist()],
+                partial(substream, seed, "tie", iteration, prompt),
+            )
+            row = (classes == winner).astype(float)
         rewards[prompt] = row
         labels[prompt] = label
     return rewards, labels
@@ -181,7 +181,6 @@ def kl_fixed_point(
     mode: str = "population",
     k: int | None = None,
     seed: int = 0,
-    equiv: EquivFn = equivalent,
 ) -> tuple[KLSolution, FixedPointTrace]:
     """Iterate pi_m = normalize(exp(reward(pi_{m-1})/beta) * pi0) to a fixed point.
 
@@ -199,12 +198,12 @@ def kl_fixed_point(
         raise ValueError("sampled mode needs k >= 1")
 
     trace = FixedPointTrace()
-    rewards, labels_prev = _rewards_at(pi0, 1, seed, equiv, mode, k)
+    rewards, labels_prev = _rewards_at(pi0, 1, seed, mode, k)
     policy = pi0
     residual = float("inf")
     for m in range(1, config.max_rounds + 1):
         policy = _tilt_from_base(pi0, rewards, beta)
-        next_rewards, labels_new = _rewards_at(policy, m + 1, seed, equiv, mode, k)
+        next_rewards, labels_new = _rewards_at(policy, m + 1, seed, mode, k)
         residual = _max_dev(policy, _tilt_from_base(pi0, next_rewards, beta))
         trace.policies.append(policy)
         trace.majorities.append(dict(labels_new))
@@ -238,7 +237,6 @@ def check_fixed_point_equivalence(
     rounds: int = 50,
     config: FixedPointConfig | None = None,
     seed: int = 0,
-    equiv: EquivFn = equivalent,
     mode: str = "population",
     k: int | None = None,
 ) -> EquivalenceReport:
@@ -251,7 +249,7 @@ def check_fixed_point_equivalence(
     """
     config = config or FixedPointConfig()
     config = FixedPointConfig(tolerance=config.tolerance, max_rounds=rounds)
-    solution, trace = kl_fixed_point(pi0, beta, config, mode, k, seed, equiv)
+    solution, trace = kl_fixed_point(pi0, beta, config, mode, k, seed)
 
     # Offline side: closed-form weighted-MLE updates with weights
     # exp((reward - previous_reward)/beta); previous_reward is 0 in round 1.
@@ -261,7 +259,7 @@ def check_fixed_point_equivalence(
     converged_b = False
     iters_b = 0
     for m in range(1, rounds + 1):
-        rewards, labels = _rewards_at(policy, m, seed, equiv, mode, k)
+        rewards, labels = _rewards_at(policy, m, seed, mode, k)
         log_w = {}
         for prompt, row in rewards.items():
             base = prev_rewards[prompt] if prev_rewards is not None else 0.0

@@ -1,7 +1,9 @@
 """Accuracy/entropy measurement and per-round metric emission.
 
 maj@k accuracy: sample k candidates per prompt, take the majority answer
-(same vote rules as training), score 1 iff it is equivalent to the truth.
+(the training vote, over the space's answer-class ids), score 1 iff its
+class is the truth's class: the class of the chains whose answers are
+equivalent to the truth.
 k=1 is plain sampled accuracy. Evaluation draws from dedicated substreams
 ("eval"/"eval-tie" scopes), so measuring never consumes training
 randomness.
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Mapping, Sequence
 
-from .answers import equivalent
-from .rewards import majority_vote, tie_break_stream
-from .util import pmap, substream
+from .rewards import vote_classes
+from .util import substream
 
 __all__ = [
     "RoundReport",
@@ -29,8 +31,6 @@ __all__ = [
     "read_metrics",
     "best_round_of",
 ]
-
-EquivFn = Callable[[str, str], bool]
 
 CSV_HEADER = "round,split,metric,value"
 
@@ -54,11 +54,9 @@ def maj_at_k(
     k: int,
     truth: Mapping[str, str],
     seed: int,
-    equiv: EquivFn = equivalent,
     *,
     eval_samples: int = 1,
     round_index: int = 0,
-    workers: int = 1,
 ) -> float:
     """Mean over prompts of 1[majority of k samples is the true answer].
 
@@ -71,21 +69,22 @@ def maj_at_k(
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
     space = policy.space
-
-    def score(prompt: str) -> float:
+    scores = []
+    for prompt in prompts:
+        classes = space.answer_classes(prompt)
+        answers = space.answers(prompt)
+        truth_class = space.class_of(prompt, truth[prompt])
         hits = 0
         for rep in range(eval_samples):
             rng = substream(seed, "eval", round_index, rep, prompt)
-            chains = policy.sample(prompt, k, rng)
-            answers = [space.answer_of(prompt, c) for c in chains]
-            tie_rng = tie_break_stream(
-                seed, round_index, prompt, answers, equiv, scope=f"eval-tie:{rep}"
+            idx = policy.sample_indices(prompt, k, rng)
+            winner, _ = vote_classes(
+                classes[idx],
+                [answers[i] for i in idx.tolist()],
+                partial(substream, seed, f"eval-tie:{rep}", round_index, prompt),
             )
-            majority = majority_vote(answers, tie_rng, equiv)
-            hits += 1 if equiv(majority, truth[prompt]) else 0
-        return hits / eval_samples
-
-    scores = pmap(score, prompts, workers)
+            hits += 1 if winner == truth_class else 0
+        scores.append(hits / eval_samples)
     return float(sum(scores) / len(scores))
 
 
@@ -94,10 +93,8 @@ def make_eval_hook(
     truth: Mapping[str, str],
     k: int,
     seed: int,
-    equiv: EquivFn = equivalent,
     *,
     eval_samples: int = 1,
-    workers: int = 1,
 ):
     """Build the per-round measurement callback used by the training loop.
 
@@ -110,14 +107,11 @@ def make_eval_hook(
             round_index=round_index, objective=objective, degenerate_prompts=degenerate
         )
         for split, prompts in splits.items():
-            report.maj1_acc[split] = maj_at_k(
-                policy, prompts, 1, truth, seed, equiv,
-                eval_samples=eval_samples, round_index=round_index, workers=workers,
-            )
-            report.majk_acc[split] = maj_at_k(
-                policy, prompts, k, truth, seed, equiv,
-                eval_samples=eval_samples, round_index=round_index, workers=workers,
-            )
+            for acc, draws in ((report.maj1_acc, 1), (report.majk_acc, k)):
+                acc[split] = maj_at_k(
+                    policy, prompts, draws, truth, seed,
+                    eval_samples=eval_samples, round_index=round_index,
+                )
             report.mean_entropy[split] = policy.mean_entropy(prompts)
         return report
 

@@ -5,9 +5,16 @@ string each chain deterministically yields. Policies assign each prompt a
 distribution over its chains, either as an explicit probability table
 (TabularPolicy) or as logits through a temperature softmax (SoftmaxPolicy).
 
+Each chain's answer is fixed, so the space also holds the answer classes:
+one class id per chain, computed once per prompt on first use and cached.
+Votes count these ids instead of comparing answer strings.
+
 Policies are immutable snapshots: every update constructs a new object, so
 concurrent reads are safe and sampling with per-prompt substreams is
-deterministic under any scheduling.
+deterministic under any scheduling. Sampling draws by inverse CDF with the
+arithmetic of `Generator.choice`, so a chain-index draw equals
+`rng.choice(len(p), count, p=p)` bit for bit and leaves the stream in the
+same state.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .answers import equivalent
+from .rewards import class_ids
 from .util import entropy_nats, normalize_simplex
 
 __all__ = [
@@ -28,6 +37,8 @@ __all__ = [
 
 TABULAR_SUM_TOL = 1e-12
 SOFTMAX_SUM_TOL = 1e-9
+# Generator.choice's tolerance on the sum of p.
+CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _check_id(kind: str, value: str) -> str:
@@ -59,8 +70,9 @@ class PromptSpace:
         if len(chains) == 0:
             raise ValueError("a PromptSpace needs at least one prompt")
         self._chains: dict[str, tuple[str, ...]] = {}
-        self._answers: dict[str, dict[str, str]] = {}
+        self._answers: dict[str, tuple[str, ...]] = {}
         self._index: dict[str, dict[str, int]] = {}
+        self._classes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
         for prompt, chain_ids in chains.items():
             _check_id("prompt", prompt)
             chain_ids = tuple(_check_id("chain", c) for c in chain_ids)
@@ -75,7 +87,7 @@ class PromptSpace:
             if missing:
                 raise KeyError(f"prompt {prompt!r}: answers missing for chains {missing}")
             self._chains[prompt] = chain_ids
-            self._answers[prompt] = {c: str(amap[c]) for c in chain_ids}
+            self._answers[prompt] = tuple(str(amap[c]) for c in chain_ids)
             self._index[prompt] = {c: i for i, c in enumerate(chain_ids)}
         self.prompts: tuple[str, ...] = tuple(self._chains)
 
@@ -90,18 +102,43 @@ class PromptSpace:
         return self._chains[prompt]
 
     def answer_of(self, prompt: str, chain: str) -> str:
-        self._require(prompt)
-        try:
-            return self._answers[prompt][chain]
-        except KeyError:
-            raise KeyError(f"unknown chain {chain!r} for prompt {prompt!r}") from None
+        return self._answers[prompt][self.chain_index(prompt, chain)]
 
     def answers(self, prompt: str) -> tuple[str, ...]:
         """Answer strings in chain order."""
         self._require(prompt)
-        chains = self._chains[prompt]
-        amap = self._answers[prompt]
-        return tuple(amap[c] for c in chains)
+        return self._answers[prompt]
+
+    def answer_classes(self, prompt: str) -> np.ndarray:
+        """Answer-class id of every chain, in chain order (read-only).
+
+        Chains whose answers are `equivalent` share an id. Computed on first
+        use and cached, so a space that is never voted on pays nothing.
+        """
+        return self._class_table(prompt)[0]
+
+    def class_of(self, prompt: str, answer: str) -> int:
+        """Class id of the chains whose answers are equivalent to `answer`,
+        or -1 when no chain's answer is."""
+        classes, lookup = self._class_table(prompt)
+        cid = lookup.get(answer)
+        if cid is None:
+            cid = next(
+                (int(c) for a, c in zip(self._answers[prompt], classes) if equivalent(a, answer)),
+                -1,
+            )
+            lookup[answer] = cid
+        return cid
+
+    def _class_table(self, prompt: str) -> tuple[np.ndarray, dict[str, int]]:
+        entry = self._classes.get(prompt)
+        if entry is None:
+            self._require(prompt)
+            answers = self._answers[prompt]
+            classes = class_ids(answers)
+            classes.flags.writeable = False
+            entry = self._classes[prompt] = (classes, dict(zip(answers, classes.tolist())))
+        return entry
 
     def chain_index(self, prompt: str, chain: str) -> int:
         self._require(prompt)
@@ -129,12 +166,24 @@ class _PolicyBase:
 
     def sample(self, prompt: str, count: int, rng: np.random.Generator) -> list[str]:
         """Draw `count` chain-ids i.i.d. from this prompt's distribution."""
+        chains = self.space.chains(prompt)
+        return [chains[i] for i in self.sample_indices(prompt, count, rng).tolist()]
+
+    def sample_indices(self, prompt: str, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw `count` chain indices i.i.d. from this prompt's distribution.
+
+        Inverse-CDF draws with the input check and arithmetic of
+        `rng.choice(len(p), count, p=p)`: same indices, same stream state
+        afterwards.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
         p = self.distribution(prompt)
-        chains = self.space.chains(prompt)
-        idx = rng.choice(len(chains), size=count, p=p)
-        return [chains[i] for i in idx]
+        if np.any(p < 0) or not abs(p.sum() - 1.0) <= CHOICE_SUM_TOL:
+            raise ValueError(f"prompt {prompt!r}: probabilities must be >= 0 and sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(rng.random(count), side="right")
 
     def entropy(self, prompt: str) -> float:
         """Shannon entropy of the chain distribution, in nats."""

@@ -7,6 +7,14 @@ to that class. Ties are broken by a seeded uniform draw over the tied
 classes; the recommended stream is keyed on (round, prompt, answer
 multiset) rather than candidate order, so permuting candidates can never
 change the outcome.
+
+Every vote runs through `vote_classes`, which takes one class id per
+candidate: the training loop and evaluation read those ids from
+`PromptSpace.answer_classes`, computed once per prompt, while
+`majority_vote`, `score_candidates` and `tie_break_stream` derive them from
+`equivalence_classes` on the spot. Votes are counted with `np.bincount`,
+and the tie stream is built only when a vote ties; its key is the same as
+when every vote built one eagerly, so outcomes do not change.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ __all__ = [
     "log_transform",
     "equivalence_classes",
     "class_key",
+    "class_ids",
+    "vote_classes",
     "majority_vote",
     "score_candidates",
     "tie_break_stream",
@@ -150,6 +160,56 @@ def class_key(answers: Sequence[str], members: Sequence[int]) -> str:
     return min(answers[i] for i in members)
 
 
+def class_ids(answers: Sequence[str], equiv: EquivFn = equivalent) -> np.ndarray:
+    """One class id per answer, numbering the classes of equivalence_classes."""
+    ids = [0] * len(answers)
+    for cid, members in enumerate(equivalence_classes(answers, equiv)):
+        for i in members:
+            ids[i] = cid
+    return np.array(ids, dtype=np.intp)
+
+
+def _class_keys(classes: list[int], answers: Sequence[str]) -> dict[int, str]:
+    """class_key of every class present, in one pass."""
+    keys: dict[int, str] = {}
+    for answer, cid in zip(answers, classes):
+        if cid not in keys or answer < keys[cid]:
+            keys[cid] = answer
+    return keys
+
+
+def _tie_tags(keys: dict[int, str], counts: list[int]) -> list[str]:
+    """Tie-stream tags of a vote: its sorted (class key, count) multiset."""
+    return [f"{key}#{counts[cid]}" for key, cid in sorted((k, c) for c, k in keys.items())]
+
+
+def vote_classes(
+    classes: np.ndarray,
+    answers: Sequence[str],
+    tie_stream: Callable[..., np.random.Generator],
+) -> tuple[int, str]:
+    """(winning class id, majority answer) of one vote.
+
+    `classes[i]` is the answer class of `answers[i]`; the majority answer is
+    the winner's class key. Only a tie calls `tie_stream(*tags)`, with the
+    tags of the sorted answer-class multiset, and draws uniformly over the
+    tied classes sorted by key, so the winner depends on the answer multiset
+    and the stream only, never on input order.
+    """
+    counts = np.bincount(classes).tolist()
+    best = max(counts)
+    winners = [cid for cid, count in enumerate(counts) if count == best]
+    ids = classes.tolist()
+    if len(winners) == 1:
+        winner = winners[0]
+        return winner, min(a for a, cid in zip(answers, ids) if cid == winner)
+    keys = _class_keys(ids, answers)
+    tied = sorted((keys[cid], cid) for cid in winners)
+    rng = tie_stream(*_tie_tags(keys, counts))
+    key, winner = tied[int(rng.integers(len(tied)))]
+    return winner, key
+
+
 def majority_vote(
     answers: Sequence[str],
     rng: np.random.Generator,
@@ -163,13 +223,7 @@ def majority_vote(
     """
     if len(answers) == 0:
         raise ValueError("majority_vote needs at least one answer")
-    classes = equivalence_classes(answers, equiv)
-    counted = sorted((class_key(answers, m), len(m)) for m in classes)
-    best = max(count for _, count in counted)
-    tied = [key for key, count in counted if count == best]
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(len(tied)))]
+    return vote_classes(class_ids(answers, equiv), answers, lambda *tags: rng)[1]
 
 
 def tie_break_stream(
@@ -184,11 +238,11 @@ def tie_break_stream(
 
     Keying on the class multiset instead of candidate order makes the drawn
     winner invariant under permutation of the candidates. `scope` separates
-    training ties from evaluation ties under one seed.
+    training ties from evaluation ties under one seed. This is the stream
+    vote_classes asks for on a tie.
     """
-    classes = equivalence_classes(answers, equiv)
-    multiset = sorted((class_key(answers, m), len(m)) for m in classes)
-    tags = [f"{key}#{count}" for key, count in multiset]
+    classes = class_ids(answers, equiv)
+    tags = _tie_tags(_class_keys(classes.tolist(), answers), np.bincount(classes).tolist())
     return substream(seed, scope, round_index, prompt, *tags)
 
 
@@ -222,9 +276,9 @@ def score_candidates(
     if len(candidates) == 0:
         raise ValueError("score_candidates needs at least one candidate")
     answers = [answer for _, answer in candidates]
-    majority = majority_vote(answers, rng, equiv)
-    verdict = {a: (1 if equiv(a, majority) else 0) for a in set(answers)}
-    rewards = tuple(verdict[answer] for answer in answers)
+    classes = class_ids(answers, equiv)
+    winner, majority = vote_classes(classes, answers, lambda *tags: rng)
+    rewards = tuple(int(c == winner) for c in classes.tolist())
     return CandidateSet(
         prompt=prompt,
         candidates=tuple((chain, answer) for chain, answer in candidates),

@@ -1,15 +1,11 @@
-"""Shared plumbing: named random substreams, parallel map, simplex helpers."""
+"""Shared plumbing: named random substreams and simplex helpers."""
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _SEP = b"\x1f"
 
@@ -26,19 +22,6 @@ def substream(seed: int, *tags: object) -> np.random.Generator:
     digest = hashlib.sha256(material).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence(words))
-
-
-def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
-    """Map preserving input order; thread-parallel when workers > 1.
-
-    Callers must pass independent work items (per-prompt substreams make the
-    results identical regardless of scheduling).
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # Probabilities below this are flushed to zero during normalization to keep

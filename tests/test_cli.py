@@ -66,6 +66,8 @@ class TestRun:
         assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
         cfg.write_text(json.dumps({"rounds": 1, "epochs": 3}))  # the removed solver knob
         assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
+        cfg.write_text(json.dumps({"rounds": 1, "workers": 2}))  # the removed parallelism knob
+        assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
 
     def test_bad_config_value_is_usage_error(self, tmp_path):
         assert run_cli(["run", "--rounds", "0", "--out-dir", tmp_path / "x"]) == 2

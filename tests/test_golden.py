@@ -1,0 +1,55 @@
+"""Golden artifacts: pinned sha256 digests of two small runs.
+
+The digests cover every byte of `checkpoints/` and `datasets/`, so they
+pin the whole random-stream contract: sampling substreams, vote tie-breaks
+(the tabular run has 5 tied votes of 150, the softmax run 2 of 50),
+reward weights and both update backends. A change that moves any of them
+must say so and re-record the digests below.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from voteloop.cli import main
+
+RUNS = {
+    "tabular-shifted": [
+        "--transform", "baseline_shifted", "--beta", "0.5",
+        "--corpus-surface-forms", "3", "--corpus-n-train", "40", "--corpus-n-test", "10",
+        "--rounds", "3", "--patience", "3", "--seed", "5", "--corpus-seed", "5",
+    ],
+    "softmax": [
+        "--backend", "softmax", "--corpus-n-train", "20", "--corpus-n-test", "5",
+        "--rounds", "2", "--seed", "2", "--corpus-seed", "2",
+    ],
+}
+
+GOLDEN = {
+    "tabular-shifted": {
+        "checkpoints": "c248a63c208da73de6048998b4f1689e0fc1e2038dad74e9769a77b0047e2072",
+        "datasets": "bb41c5eb7e81d8633fc35a13bc8eef12455788abb126a81283f311b854142423",
+    },
+    "softmax": {
+        "checkpoints": "8b6c49bcf4ba1964a83f4a774b630a98cc48bde922f8109ae6936a2d2fda1b2f",
+        "datasets": "1888db86e657c3819fcf91d2380655043a70aca8b3f504b9351b055f8de62aba",
+    },
+}
+
+
+def tree_digest(path: Path) -> str:
+    """sha256 over (relative path, file sha256) for every file, sorted."""
+    total = hashlib.sha256()
+    for f in sorted(p for p in path.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(f.read_bytes()).hexdigest()
+        total.update(f"{f.relative_to(path).as_posix()}\0{digest}\n".encode())
+    return total.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_artifacts_match_golden_digests(name, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", *RUNS[name], "--out-dir", str(out)]) == 0
+    got = {part: tree_digest(out / part) for part in ("checkpoints", "datasets")}
+    assert got == GOLDEN[name]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import voteloop.metrics as metrics
 from voteloop.metrics import (
     RoundReport,
     best_round_of,
@@ -83,6 +84,28 @@ class TestMajAtK:
         other_round = maj_at_k(policy, space.prompts, 5, truth_for(space), seed=0, round_index=3)
         assert first == again
         assert first != other_round or True  # different rounds may coincide in value
+
+    def test_truth_matches_by_equivalence(self):
+        space = PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "0.5", "c1": "3"}})
+        policy = TabularPolicy(space, {"p": (1.0, 0.0)})
+        assert maj_at_k(policy, ["p"], 3, {"p": "\\frac{1}{2}"}, seed=0) == 1.0
+        assert maj_at_k(policy, ["p"], 3, {"p": "3"}, seed=0) == 0.0
+        assert maj_at_k(policy, ["p"], 3, {"p": "7"}, seed=0) == 0.0
+
+    def test_tie_streams_only_for_tied_votes(self, monkeypatch):
+        scopes = []
+        real = metrics.substream
+        monkeypatch.setattr(
+            metrics, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
+        )
+        space = two_class_space(30)
+        sure = TabularPolicy(space, {x: (1.0, 0.0) for x in space.prompts})
+        maj_at_k(sure, space.prompts, 4, truth_for(space), seed=0, eval_samples=2)
+        assert scopes == ["eval"] * 60
+        scopes.clear()
+        maj_at_k(TabularPolicy.uniform(space), space.prompts, 4, truth_for(space), seed=0, eval_samples=2)
+        ties = sum(scope.startswith("eval-tie:") for scope in scopes)
+        assert scopes.count("eval") == 60 and 0 < ties < 60
 
     def test_validation(self):
         space = two_class_space(1)

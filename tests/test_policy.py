@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import voteloop.policy as policy_module
 from voteloop.policy import PromptSpace, SoftmaxPolicy, TabularPolicy, load_policy, save_policy
 
 
@@ -116,6 +119,68 @@ class TestSample:
         policy = TabularPolicy.uniform(small_space())
         with pytest.raises(ValueError):
             policy.sample("p0", 0, np.random.default_rng(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=12
+        ).filter(lambda w: sum(w) > 0),
+        count=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_indices_match_generator_choice(self, weights, count, seed):
+        chains = tuple(f"c{i}" for i in range(len(weights)))
+        space = PromptSpace({"p": chains}, {"p": {c: c for c in chains}})
+        policy = TabularPolicy(space, {"p": weights})
+        p = policy.distribution("p")
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = policy.sample_indices("p", count, ours)
+        want = theirs.choice(len(p), size=count, p=p)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert policy.sample("p", count, np.random.default_rng(seed)) == [chains[i] for i in want]
+
+    def test_sample_indices_check_the_distribution(self):
+        space = small_space()
+
+        class Broken(TabularPolicy):
+            def distribution(self, prompt):
+                return np.array([0.5, 0.6, -0.1]) if prompt == "p0" else np.array([0.5, 0.4])
+
+        policy = Broken.uniform(space)
+        for prompt in space.prompts:
+            with pytest.raises(ValueError):
+                policy.sample_indices(prompt, 3, np.random.default_rng(0))
+
+
+class TestAnswerClasses:
+    def test_equivalent_answers_share_a_class(self):
+        space = PromptSpace(
+            {"p": ("c0", "c1", "c2", "c3")},
+            {"p": {"c0": "0.5", "c1": "3", "c2": "\\frac{1}{2}", "c3": "0.5"}},
+        )
+        classes = space.answer_classes("p")
+        assert classes[0] == classes[2] == classes[3] != classes[1]
+        assert not classes.flags.writeable
+        assert space.class_of("p", "1/2") == classes[0]
+        assert space.class_of("p", "3.0") == classes[1]
+        assert space.class_of("p", "7") == -1
+
+    def test_computed_once_on_first_use(self, monkeypatch):
+        calls = []
+        real = policy_module.class_ids
+        monkeypatch.setattr(policy_module, "class_ids", lambda a: calls.append(a) or real(a))
+        space = small_space()
+        assert calls == []
+        first = space.answer_classes("p0")
+        assert space.answer_classes("p0") is first
+        space.class_of("p0", "b")
+        assert calls == [("a", "b", "a")]
+
+    def test_unknown_prompt(self):
+        with pytest.raises(KeyError):
+            small_space().answer_classes("nope")
 
 
 class TestEntropy:

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voteloop.answers import equivalent
+from voteloop.policy import PromptSpace
 from voteloop.rewards import (
     CandidateSet,
     RewardTransform,
@@ -18,7 +21,9 @@ from voteloop.rewards import (
     majority_vote,
     score_candidates,
     tie_break_stream,
+    vote_classes,
 )
+from voteloop.util import substream
 
 
 def rng0():
@@ -185,3 +190,81 @@ class TestTieBreakStream:
         a = tie_break_stream(0, 1, "p", ["x"], scope="tie")
         b = tie_break_stream(0, 1, "p", ["x"], scope="eval-tie:0")
         assert a.integers(1 << 30) != b.integers(1 << 30)
+
+
+ALPHABETS = {
+    "plain": ("a", "b", "c", "d"),
+    "merged": ("0.5", "\\frac{1}{2}", "1/2", "3", "x", "3.0"),
+}
+
+
+def one_prompt_space(alphabet):
+    chains = tuple(f"c{i}" for i in range(len(alphabet)))
+    return PromptSpace({"p": chains}, {"p": dict(zip(chains, alphabet))})
+
+
+def vote_over_space(space, idx, seed, round_index):
+    """vote_classes on the space's class ids, as the engine calls it; also
+    returns the tag tuples it asked a tie stream for."""
+    asked = []
+
+    def stream(*tags):
+        asked.append(tags)
+        return substream(seed, "tie", round_index, "p", *tags)
+
+    answers = [space.answers("p")[i] for i in idx]
+    winner, majority = vote_classes(space.answer_classes("p")[idx], answers, stream)
+    return winner, majority, asked
+
+
+class TestVoteClasses:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        alphabet=st.sampled_from(sorted(ALPHABETS)),
+        data=st.data(),
+        seed=st.integers(0, 2**31),
+        round_index=st.integers(1, 30),
+    )
+    def test_equals_union_find_vote(self, alphabet, data, seed, round_index):
+        letters = ALPHABETS[alphabet]
+        # Small lists over few symbols make ties common.
+        idx = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=1, max_size=12))
+        space = one_prompt_space(letters)
+        answers = [letters[i] for i in idx]
+        winner, majority, asked = vote_over_space(space, idx, seed, round_index)
+
+        # The union-find path: same winner, same tie-stream address.
+        assert majority == majority_vote(answers, tie_break_stream(seed, round_index, "p", answers))
+        if asked:
+            (tags,) = asked
+            ours = substream(seed, "tie", round_index, "p", *tags)
+            theirs = tie_break_stream(seed, round_index, "p", answers)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+        # Counting oracle: a tie stream is asked for iff classes tie.
+        counts = [sum(equivalent(a, b) for b in answers) for a in answers]
+        best = max(counts)
+        tied = {
+            frozenset(b for b in answers if equivalent(a, b))
+            for a, c in zip(answers, counts)
+            if c == best
+        }
+        assert len(asked) == (len(tied) > 1)
+        members = [a for a, c in zip(answers, space.answer_classes("p")[idx]) if c == winner]
+        assert frozenset(members) in tied
+        assert majority == min(members)
+
+        # Permuting the candidates changes nothing.
+        perm = data.draw(st.permutations(idx))
+        assert vote_over_space(space, perm, seed, round_index) == (winner, majority, asked)
+
+    def test_no_tie_stream_without_a_tie(self):
+        def refuse(*tags):
+            raise AssertionError("tie stream built for an untied vote")
+
+        classes = np.array([2, 0, 2, 1])
+        assert vote_classes(classes, ["x", "4", "x", "5"], refuse) == (2, "x")
+
+    def test_majority_is_least_sampled_member(self):
+        classes = np.array([0, 0, 1, 0])
+        assert vote_classes(classes, ["b", "c", "z", "b"], lambda *t: None) == (0, "b")

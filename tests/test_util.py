@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voteloop.util import normalize_simplex, pmap, substream, total_variation
+from voteloop.util import normalize_simplex, substream, total_variation
 
 
 class TestSubstream:
@@ -47,14 +47,6 @@ class TestNormalizeSimplex:
         for bad in ([], [0.0, 0.0], [-1.0, 2.0], [np.nan, 1.0]):
             with pytest.raises(ValueError):
                 normalize_simplex(np.array(bad, dtype=float))
-
-
-class TestPmap:
-    def test_preserves_order_and_matches_serial(self):
-        items = list(range(200))
-        serial = pmap(lambda x: x * x, items, workers=1)
-        threaded = pmap(lambda x: x * x, items, workers=8)
-        assert serial == threaded == [x * x for x in items]
 
 
 def test_total_variation():
