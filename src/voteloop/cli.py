@@ -167,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         os.path.join(out_dir, "labels.jsonl"),
     )
 
-    eval_k = run_config.eval_k or run_config.k
+    eval_k = run_config.k if run_config.eval_k is None else run_config.eval_k
     hook = make_eval_hook(
         corpus.splits,
         corpus.truth,

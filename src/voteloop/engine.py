@@ -18,14 +18,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .metrics import RoundReport
+from .metrics import RoundReport, best_round_of
 from .optim import WeightedSample, solve_gradient, tilt_distribution
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import RewardTransform, log_transform, vote_classes
-from .util import substream
+from .util import substream, substream_random
 
 __all__ = [
     "RunConfig",
@@ -67,6 +68,10 @@ class RunConfig:
             raise ValueError(f"unknown transform {self.transform!r}")
         if self.transform != "identity" and not (self.beta > 0):
             raise ValueError("beta must be positive for exponential transforms")
+        if self.eval_k is not None and self.eval_k < 1:
+            raise ValueError("eval_k must be >= 1 when set")
+        if self.eval_samples < 1:
+            raise ValueError("eval_samples must be >= 1")
 
     def reward_transform(self) -> RewardTransform:
         if self.transform == "identity":
@@ -80,6 +85,12 @@ class PromptRecord:
     rewards: tuple[int, ...]
     log_weights: tuple[float, ...]
     majority: str
+
+
+def _json_log_weight(lw: float) -> str:
+    if type(lw) is float and math.isfinite(lw):
+        return float.__repr__(lw)
+    return "null" if lw == -math.inf else json.dumps(lw)
 
 
 @dataclass
@@ -99,25 +110,21 @@ class OfflineDataset:
         return samples
 
     def save(self, path) -> None:
+        """One JSON object per candidate, in the bytes `json.dumps` writes
+        for {round, prompt, candidate, chain, answer, reward, log_weight}
+        (a -inf log-weight as null); one prompt's rows per write."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for prompt, rec in self.records.items():
-                for idx, ((chain, answer), reward, lw) in enumerate(
-                    zip(rec.candidates, rec.rewards, rec.log_weights)
-                ):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "round": self.round_index,
-                                "prompt": prompt,
-                                "candidate": idx,
-                                "chain": chain,
-                                "answer": answer,
-                                "reward": reward,
-                                "log_weight": None if lw == -math.inf else lw,
-                            }
+                head = f'{{"round": {self.round_index}, "prompt": {_json_str(prompt)}, "candidate": '
+                fh.write(
+                    "".join(
+                        f'{head}{idx}, "chain": {_json_str(chain)}, "answer": {_json_str(answer)}, '
+                        f'"reward": {reward}, "log_weight": {_json_log_weight(lw)}}}\n'
+                        for idx, ((chain, answer), reward, lw) in enumerate(
+                            zip(rec.candidates, rec.rewards, rec.log_weights)
                         )
-                        + "\n"
                     )
+                )
 
     @classmethod
     def load(cls, path) -> "OfflineDataset":
@@ -198,7 +205,8 @@ def generate_round(
     """Sample k candidates per prompt, vote, and attach transform log-weights.
 
     Deterministic given the seed: every prompt draws from its own
-    (seed, round, prompt) substream, and tie-breaks hash the answer multiset.
+    (seed, "gen", round, prompt) substream (all prompts in one batch), and
+    tie-breaks hash the answer multiset.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -206,9 +214,12 @@ def generate_round(
         raise ValueError("baseline_shifted needs prev_majority from round 2 on")
 
     weigh = _log_weigher(prompts, transform, round_index, prev_majority)
+    order = prompts.prompts
+    draws = policy.sample_batch(
+        order, substream_random(seed, [("gen", round_index, x) for x in order], k)
+    )
     records = {}
-    for prompt in prompts.prompts:
-        idx = policy.sample_indices(prompt, k, substream(seed, "gen", round_index, prompt))
+    for prompt, idx in zip(order, draws):
         classes = prompts.answer_classes(prompt)[idx]
         chains, answers = prompts.chains(prompt), prompts.answers(prompt)
         picked = idx.tolist()
@@ -390,11 +401,5 @@ def run(
             result.stopped_early = True
             break
 
-    best = 0
-    best_acc = result.reports[0].majk_acc.get("train", -1.0)
-    for report in result.reports[1:]:
-        acc = report.majk_acc.get("train", -1.0)
-        if acc > best_acc:
-            best, best_acc = report.round_index, acc
-    result.best_round = best
+    result.best_round = best_round_of(result.reports)
     return result

@@ -28,7 +28,7 @@ from .answers import equivalent
 from .optim import closed_form_update
 from .policy import TabularPolicy
 from .rewards import class_key, equivalence_classes, vote_classes
-from .util import substream, total_variation
+from .util import substream, substream_random, total_variation
 
 __all__ = [
     "FixedPointConfig",
@@ -93,6 +93,13 @@ def population_majority(
     uniformly over the tied classes when rng is given, else take the
     lexicographically least key.
     """
+    return _pick(_population_tied(policy, prompt, equiv), rng)
+
+
+def _population_tied(
+    policy: TabularPolicy, prompt: str, equiv: EquivFn
+) -> list[tuple[str, frozenset[str]]]:
+    """(class key, members) of the classes of largest marginal mass, by key."""
     marginal = policy.answer_marginal(prompt)
     strings = list(marginal)
     classes = equivalence_classes(strings, equiv)
@@ -102,7 +109,10 @@ def population_majority(
     )
     masses = [sum(marginal[s] for s in members) for _, members in scored]
     best = max(masses)
-    tied = [entry for entry, mass in zip(scored, masses) if mass == best]
+    return [entry for entry, mass in zip(scored, masses) if mass == best]
+
+
+def _pick(tied: list, rng: np.random.Generator | None):
     if len(tied) == 1 or rng is None:
         return tied[0]
     return tied[int(rng.integers(len(tied)))]
@@ -139,14 +149,20 @@ def _rewards_at(
     space = policy.space
     rewards: dict[str, np.ndarray] = {}
     labels: dict[str, str] = {}
-    for prompt in space.prompts:
+    if mode != "population":
+        draws = policy.sample_batch(
+            space.prompts,
+            substream_random(seed, [("fp-gen", iteration, x) for x in space.prompts], k),
+        )
+    for j, prompt in enumerate(space.prompts):
         if mode == "population":
-            rng = population_tie_stream(seed, iteration, prompt)
-            label, members = population_majority(policy, prompt, rng=rng)
+            # The "pop-tie" stream is built only for an exact marginal tie.
+            tied = _population_tied(policy, prompt, equivalent)
+            rng = population_tie_stream(seed, iteration, prompt) if len(tied) > 1 else None
+            label, members = _pick(tied, rng)
             row = np.array([1.0 if a in members else 0.0 for a in space.answers(prompt)])
         else:
-            gen = substream(seed, "fp-gen", iteration, prompt)
-            idx = policy.sample_indices(prompt, k, gen)
+            idx = draws[j]
             classes = space.answer_classes(prompt)
             answers = space.answers(prompt)
             winner, label = vote_classes(

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from .rewards import vote_classes
-from .util import substream
+from .util import substream, substream_random
 
 __all__ = [
     "RoundReport",
@@ -62,22 +62,26 @@ def maj_at_k(
 
     eval_samples repeats the k-draw and averages, trading eval cost for a
     tighter estimate; every (round, repeat, prompt) triple has its own
-    substream.
+    substream, and all of them are drawn in one batch.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
     space = policy.space
+    reps = range(eval_samples)
+    uniforms = substream_random(
+        seed, [("eval", round_index, rep, x) for rep in reps for x in prompts], k
+    )
+    draws = policy.sample_batch(list(prompts) * eval_samples, uniforms)
     scores = []
-    for prompt in prompts:
+    for j, prompt in enumerate(prompts):
         classes = space.answer_classes(prompt)
         answers = space.answers(prompt)
         truth_class = space.class_of(prompt, truth[prompt])
         hits = 0
-        for rep in range(eval_samples):
-            rng = substream(seed, "eval", round_index, rep, prompt)
-            idx = policy.sample_indices(prompt, k, rng)
+        for rep in reps:
+            idx = draws[rep * len(prompts) + j]
             winner, _ = vote_classes(
                 classes[idx],
                 [answers[i] for i in idx.tolist()],

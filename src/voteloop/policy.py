@@ -14,7 +14,9 @@ concurrent reads are safe and sampling with per-prompt substreams is
 deterministic under any scheduling. Sampling draws by inverse CDF with the
 arithmetic of `Generator.choice`, so a chain-index draw equals
 `rng.choice(len(p), count, p=p)` bit for bit and leaves the stream in the
-same state.
+same state. `sample_batch` draws for a whole prompt list from given
+uniforms; each policy builds its CDFs once, as one flat array laid out by
+the space's chain offsets.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ class PromptSpace:
             self._answers[prompt] = tuple(str(amap[c]) for c in chain_ids)
             self._index[prompt] = {c: i for i, c in enumerate(chain_ids)}
         self.prompts: tuple[str, ...] = tuple(self._chains)
+        self._row = {prompt: i for i, prompt in enumerate(self.prompts)}
+        # Chains of the prompt in row r sit at [offsets[r], offsets[r + 1])
+        # of any flat per-chain array.
+        self._offsets = np.cumsum([0] + [len(c) for c in self._chains.values()])
 
     def __contains__(self, prompt: str) -> bool:
         return prompt in self._chains
@@ -140,6 +146,13 @@ class PromptSpace:
             entry = self._classes[prompt] = (classes, dict(zip(answers, classes.tolist())))
         return entry
 
+    def _rows(self, prompts: Sequence[str]) -> np.ndarray:
+        """Row index of every prompt, in the order given."""
+        try:
+            return np.array([self._row[x] for x in prompts], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"unknown prompt {exc.args[0]!r}") from None
+
     def chain_index(self, prompt: str, chain: str) -> int:
         self._require(prompt)
         try:
@@ -156,6 +169,9 @@ class _PolicyBase:
     """Shared read-side operations; subclasses provide distribution()."""
 
     space: PromptSpace
+    # Normalized CDF of every prompt, flat in the space's chain offsets;
+    # built on first draw (rows that fail the p check hold NaN).
+    _cdf: np.ndarray | None = None
 
     def distribution(self, prompt: str) -> np.ndarray:
         raise NotImplementedError
@@ -172,18 +188,68 @@ class _PolicyBase:
     def sample_indices(self, prompt: str, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` chain indices i.i.d. from this prompt's distribution.
 
-        Inverse-CDF draws with the input check and arithmetic of
-        `rng.choice(len(p), count, p=p)`: same indices, same stream state
-        afterwards.
+        Equals `rng.choice(len(p), count, p=p)`: same indices, same stream
+        state afterwards (see sample_batch).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        p = self.distribution(prompt)
-        if np.any(p < 0) or not abs(p.sum() - 1.0) <= CHOICE_SUM_TOL:
-            raise ValueError(f"prompt {prompt!r}: probabilities must be >= 0 and sum to 1")
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return cdf.searchsorted(rng.random(count), side="right")
+        return self.sample_batch([prompt], rng.random((1, count)))[0]
+
+    def sample_batch(self, prompts: Sequence[str], uniforms: np.ndarray) -> np.ndarray:
+        """Chain indices drawn by inverse CDF: row r draws from prompts[r]
+        at the uniforms of row r.
+
+        Each row keeps the input check and arithmetic of
+        `Generator.choice(len(p), count, p=p)` (p >= 0 and sum within
+        sqrt(eps) of 1; `cdf = p.cumsum(); cdf /= cdf[-1]`; searchsorted
+        with side="right"), so row r equals that call on a generator whose
+        next draws are uniforms[r]. Memory is linear in the uniforms plus
+        the space's chains.
+        """
+        uniforms = np.asarray(uniforms, dtype=float)
+        if uniforms.ndim != 2 or len(uniforms) != len(prompts):
+            raise ValueError("uniforms must have one row per prompt")
+        cdf = self._cdf_table()
+        rows = self.space._rows(prompts)
+        start, end = self.space._offsets[rows], self.space._offsets[rows + 1]
+        bad = np.flatnonzero(np.isnan(cdf[start]))
+        if bad.size:
+            raise ValueError(
+                f"prompt {prompts[bad[0]]!r}: probabilities must be >= 0 and sum to 1"
+            )
+        # Vectorized searchsorted(side="right"): binary search for the count
+        # of CDF entries <= u within each row's [start, end).
+        lo = np.repeat(start[:, None], uniforms.shape[1], axis=1)
+        hi = np.repeat(end[:, None], uniforms.shape[1], axis=1)
+        for _ in range(int((end - start).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            go = (lo < hi) & (cdf.take(mid, mode="clip") <= uniforms)
+            lo = np.where(go, mid + 1, lo)
+            hi = np.where(go, hi, mid)
+        return lo - start[:, None]
+
+    def _cdf_table(self) -> np.ndarray:
+        if self._cdf is None:
+            ps = [self.distribution(x) for x in self.space.prompts]
+            offsets = self.space._offsets
+            lens = np.diff(offsets)
+            if [len(p) for p in ps] != lens.tolist():
+                raise ValueError("distribution lengths do not match the chain alphabets")
+            flat = np.concatenate(ps)
+            sum_ok = np.array([abs(p.sum() - 1.0) <= CHOICE_SUM_TOL for p in ps])
+            table = np.full(len(flat), np.nan)
+            # Generator.choice's check and arithmetic (p >= 0 and sum near 1;
+            # cdf = p.cumsum(); cdf /= cdf[-1]) for all rows of one length at once.
+            for n in sorted(set(lens.tolist())):
+                at = offsets[:-1][lens == n][:, None] + np.arange(n)
+                block = flat[at]
+                ok = sum_ok[lens == n] & ~(block < 0).any(axis=1)
+                cdf = block[ok].cumsum(axis=1)
+                cdf /= cdf[:, -1:]
+                table[at[ok]] = cdf
+            table.flags.writeable = False
+            self._cdf = table
+        return self._cdf
 
     def entropy(self, prompt: str) -> float:
         """Shannon entropy of the chain distribution, in nats."""

@@ -72,6 +72,15 @@ class TestRun:
     def test_bad_config_value_is_usage_error(self, tmp_path):
         assert run_cli(["run", "--rounds", "0", "--out-dir", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--eval-k", "0"), ("--eval-k", "-3"), ("--eval-samples", "0")]
+    )
+    def test_bad_eval_settings_are_usage_errors(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(["run", *BASE_ARGS, flag, value, "--out-dir", out]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOTELOOP_OUT_ROOT", str(tmp_path))
         assert run_cli(["run", *BASE_ARGS, "--out-dir", "nested/run"]) == 0

@@ -1,12 +1,15 @@
 """Round loop: generation, offline updates, early stopping, artifacts."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voteloop.engine as engine
-from voteloop.engine import OfflineDataset, RunConfig, generate_round, run
+from voteloop.engine import OfflineDataset, PromptRecord, RunConfig, generate_round, run
 from voteloop.engine import _chain_log_weights, _update_tabular
 from voteloop.metrics import make_eval_hook
 from voteloop.optim import product_form_oracle
@@ -86,6 +89,60 @@ class TestGenerateRound:
         assert got.rewards == rec.rewards
         assert got.log_weights == rec.log_weights
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        records=st.dictionaries(
+            st.text(min_size=1, max_size=8),
+            st.lists(
+                st.tuples(
+                    st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\\frac{1}{2}", "é中", "\x7f"])),
+                    st.text(max_size=10),
+                    st.integers(0, 1),
+                    st.one_of(
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([-0.0, 0.0, -math.inf, math.inf, 2.0, 1e-310, 0.1]),
+                    ),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        round_index=st.integers(0, 20),
+    )
+    def test_dataset_lines_equal_json_dumps(self, tmp_path_factory, records, round_index):
+        ds = OfflineDataset(
+            round_index=round_index,
+            records={
+                prompt: PromptRecord(
+                    candidates=tuple((chain, answer) for chain, answer, _, _ in rows),
+                    rewards=tuple(reward for _, _, reward, _ in rows),
+                    log_weights=tuple(lw for *_, lw in rows),
+                    majority=rows[0][1],
+                )
+                for prompt, rows in records.items()
+            },
+        )
+        path = tmp_path_factory.mktemp("ds") / "round.jsonl"
+        ds.save(path)
+        want = [
+            json.dumps(
+                {
+                    "round": round_index,
+                    "prompt": prompt,
+                    "candidate": idx,
+                    "chain": chain,
+                    "answer": answer,
+                    "reward": reward,
+                    "log_weight": None if lw == -math.inf else lw,
+                }
+            )
+            for prompt, rows in records.items()
+            for idx, (chain, answer, reward, lw) in enumerate(rows)
+        ]
+        assert path.read_text(encoding="utf-8").split("\n") == want + [""]
+
     def test_dataset_round_trip_keeps_majority_surface_form(self, tmp_path):
         # With several surface forms per answer, the winning class holds
         # distinct strings; the majority is the least one, not the first.
@@ -104,10 +161,15 @@ class TestGenerateRound:
         assert any(first_rewarded[x] != rec.majority for x, rec in ds.records.items())
 
     def test_tie_streams_only_for_tied_votes(self, monkeypatch):
-        scopes = []
-        real = engine.substream
+        scopes, batches = [], []
+        real, real_batch = engine.substream, engine.substream_random
         monkeypatch.setattr(
             engine, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
+        )
+        monkeypatch.setattr(
+            engine,
+            "substream_random",
+            lambda seed, addresses, count: batches.append(addresses) or real_batch(seed, addresses, count),
         )
         space = PromptSpace(
             {f"p{i}": ("c0", "c1") for i in range(40)},
@@ -116,8 +178,10 @@ class TestGenerateRound:
         ds = generate_round(TabularPolicy.uniform(space), space, k=4, seed=3)
         ties = sum(sum(rec.rewards) == 2 for rec in ds.records.values())  # 2 votes each
         assert 0 < ties < 40
-        assert scopes.count("gen") == 40
-        assert scopes.count("tie") == ties
+        # One batched draw over every prompt's "gen" address.
+        assert len(batches) == 1
+        assert [tags[0] for tags in batches[0]] == ["gen"] * 40
+        assert scopes.count("tie") == ties == len(scopes)
 
 
 class TestTabularUpdate:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import voteloop.fixed_point as fixed_point
 from voteloop.fixed_point import (
     FixedPointConfig,
     check_fixed_point_equivalence,
@@ -61,6 +62,27 @@ class TestPopulationReward:
         policy = TabularPolicy(space, {"p": (0.3, 0.3, 0.4)})
         # 0.5-class mass 0.6 beats the 0.4 of "3" once surface forms merge.
         assert population_reward(policy, "p") == {"c0": 1, "c1": 1, "c2": 0}
+
+
+    def test_tie_stream_built_only_for_marginal_ties(self, monkeypatch):
+        scopes = []
+        real = fixed_point.substream
+        monkeypatch.setattr(
+            fixed_point, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
+        )
+        masses = [(0.5, 0.5), (0.6, 0.4), (0.25, 0.75), (0.5, 0.5), (0.3, 0.7)]
+        space = PromptSpace(
+            {f"p{i}": ("c0", "c1") for i in range(len(masses))},
+            {f"p{i}": {"c0": "a", "c1": "b"} for i in range(len(masses))},
+        )
+        policy = TabularPolicy(space, {f"p{i}": m for i, m in enumerate(masses)})
+        rewards, labels = fixed_point._rewards_at(policy, 4, 9, "population", None)
+        assert scopes == ["pop-tie", "pop-tie"]
+        for prompt in space.prompts:
+            # Same label as drawing with an eagerly built stream.
+            rng = population_tie_stream(9, 4, prompt)
+            assert labels[prompt] == population_majority(policy, prompt, rng=rng)[0]
+        assert [labels[f"p{i}"] for i in (1, 2, 4)] == ["a", "b", "b"]
 
 
 class TestKLFixedPoint:

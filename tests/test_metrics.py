@@ -93,19 +93,27 @@ class TestMajAtK:
         assert maj_at_k(policy, ["p"], 3, {"p": "7"}, seed=0) == 0.0
 
     def test_tie_streams_only_for_tied_votes(self, monkeypatch):
-        scopes = []
-        real = metrics.substream
+        scopes, batches = [], []
+        real, real_batch = metrics.substream, metrics.substream_random
         monkeypatch.setattr(
             metrics, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
+        )
+        monkeypatch.setattr(
+            metrics,
+            "substream_random",
+            lambda seed, addresses, count: batches.append(addresses) or real_batch(seed, addresses, count),
         )
         space = two_class_space(30)
         sure = TabularPolicy(space, {x: (1.0, 0.0) for x in space.prompts})
         maj_at_k(sure, space.prompts, 4, truth_for(space), seed=0, eval_samples=2)
-        assert scopes == ["eval"] * 60
+        assert scopes == []
+        assert len(batches) == 1 and [tags[0] for tags in batches[0]] == ["eval"] * 60
         scopes.clear()
+        batches.clear()
         maj_at_k(TabularPolicy.uniform(space), space.prompts, 4, truth_for(space), seed=0, eval_samples=2)
         ties = sum(scope.startswith("eval-tie:") for scope in scopes)
-        assert scopes.count("eval") == 60 and 0 < ties < 60
+        assert len(batches) == 1 and [tags[0] for tags in batches[0]] == ["eval"] * 60
+        assert ties == len(scopes) and 0 < ties < 60
 
     def test_validation(self):
         space = two_class_space(1)

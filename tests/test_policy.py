@@ -154,6 +154,78 @@ class TestSample:
                 policy.sample_indices(prompt, 3, np.random.default_rng(0))
 
 
+def _space_and_weights(rows):
+    chains = {f"p{j}": tuple(f"c{i}" for i in range(len(w))) for j, w in enumerate(rows)}
+    space = PromptSpace(chains, {x: {c: c for c in cs} for x, cs in chains.items()})
+    return space, {f"p{j}": w for j, w in enumerate(rows)}
+
+
+class TestSampleBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=14).filter(
+                lambda w: sum(w) > 0
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        softmax=st.booleans(),
+        pick=st.lists(st.integers(0, 5), min_size=0, max_size=10),
+        count=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_per_prompt_choice(self, rows, softmax, pick, count, seed):
+        space, weights = _space_and_weights(rows)
+        if softmax:
+            logits = {x: np.log(np.maximum(w, 1e-12)) * 3.0 for x, w in weights.items()}
+            policy = SoftmaxPolicy(space, logits, temperature=0.7)
+        else:
+            policy = TabularPolicy(space, weights)
+        # A subset of the prompts, in arbitrary order and with repeats.
+        prompts = [space.prompts[i % len(space.prompts)] for i in pick]
+        uniforms = np.random.default_rng(seed).random((len(prompts), count))
+        got = policy.sample_batch(prompts, uniforms)
+        assert got.shape == (len(prompts), count)
+        gen = np.random.default_rng(seed)
+        for prompt, row in zip(prompts, got):
+            p = policy.distribution(prompt)
+            want = gen.choice(len(p), size=count, p=p)
+            assert row.dtype == want.dtype
+            np.testing.assert_array_equal(row, want)
+
+    def test_zero_probability_chains_are_never_drawn(self):
+        space, weights = _space_and_weights([[0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.0]])
+        policy = TabularPolicy(space, weights)
+        got = policy.sample_batch(["p0"], np.random.default_rng(0).random((1, 2000)))
+        assert set(got[0].tolist()) == {1, 4, 8}
+        # Uniforms on the CDF's steps go right, as searchsorted(side="right").
+        edges = np.array([[0.0, 0.5, 0.75, np.nextafter(0.75, 0), np.nextafter(1.0, 0)]])
+        assert policy.sample_batch(["p0"], edges).tolist() == [[1, 4, 8, 4, 8]]
+
+    def test_check_names_the_prompt(self):
+        space = small_space()
+
+        class Broken(TabularPolicy):
+            def distribution(self, prompt):
+                return np.array([0.5, 0.6]) if prompt == "p1" else super().distribution(prompt)
+
+        policy = Broken.uniform(space)
+        assert policy.sample_batch(["p0"], np.zeros((1, 3))).tolist() == [[0, 0, 0]]
+        with pytest.raises(ValueError, match="'p1'"):
+            policy.sample_batch(["p0", "p1"], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="'p1'"):
+            policy.sample_indices("p1", 3, np.random.default_rng(0))
+
+    def test_rejects_bad_input(self):
+        policy = TabularPolicy.uniform(small_space())
+        with pytest.raises(ValueError):
+            policy.sample_batch(["p0", "p1"], np.zeros((1, 3)))
+        with pytest.raises(KeyError, match="'nope'"):
+            policy.sample_batch(["nope"], np.zeros((1, 3)))
+        assert policy.sample_batch([], np.zeros((0, 3))).shape == (0, 3)
+
+
 class TestAnswerClasses:
     def test_equivalent_answers_share_a_class(self):
         space = PromptSpace(

@@ -1,9 +1,11 @@
-"""Substream derivation, simplex normalization, parallel map."""
+"""Substream derivation, batched substream draws, simplex normalization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voteloop.util import normalize_simplex, substream, total_variation
+from voteloop.util import normalize_simplex, substream, substream_random, total_variation
 
 
 class TestSubstream:
@@ -26,6 +28,35 @@ class TestSubstream:
         a = substream(0, "ab", "c").integers(1 << 62)
         b = substream(0, "a", "bc").integers(1 << 62)
         assert a != b
+
+
+class TestSubstreamRandom:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64, 2**200)),
+        addresses=st.lists(
+            st.lists(st.one_of(st.text(max_size=12), st.integers(-(2**40), 2**40)), max_size=4),
+            min_size=1,
+            max_size=8,
+        ),
+        count=st.integers(1, 50),
+    )
+    def test_rows_equal_substreams(self, seed, addresses, count):
+        got = substream_random(seed, addresses, count)
+        assert got.shape == (len(addresses), count)
+        for row, tags in zip(got, addresses):
+            np.testing.assert_array_equal(row, substream(seed, *tags).random(count))
+
+    def test_non_ascii_tags_and_mixed_types(self):
+        addresses = [("gen", 3, "prompt-\u00e9\u4e2d"), ("eval", 0, 1, "p"), (), ("\\frac{1}{2}",)]
+        got = substream_random(-12, addresses, 7)
+        for row, tags in zip(got, addresses):
+            np.testing.assert_array_equal(row, substream(-12, *tags).random(7))
+
+    def test_empty_and_invalid(self):
+        assert substream_random(0, [], 3).shape == (0, 3)
+        with pytest.raises(ValueError):
+            substream_random(0, [("gen",)], 0)
 
 
 class TestNormalizeSimplex:
