@@ -23,7 +23,7 @@ import numpy as np
 
 from .answers import equivalent
 from .engine import RunConfig, run
-from .metrics import emit_metrics, make_eval_hook, read_metrics
+from .metrics import RoundReport, best_round_of, emit_metrics, make_eval_hook, read_metrics
 from .policy import SoftmaxPolicy
 from .tasks import Corpus, CorpusSpec, make_corpus, save_corpus
 from .verify import SUITES
@@ -234,8 +234,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         return USAGE_ERROR
 
     rounds = sorted(metrics)
-    best_round = max(
-        rounds, key=lambda r: (metrics[r].get("train", {}).get("majk_acc", -1.0), -r)
+    best_round = best_round_of(
+        [
+            RoundReport(
+                r, majk_acc={s: m["majk_acc"] for s, m in metrics[r].items() if "majk_acc" in m}
+            )
+            for r in rounds
+        ]
     )
     splits = [s for s in metrics[rounds[0]] if s != "run"]
     header = ["round"] + [f"{s}/{m}" for s in splits for m in ("maj1", "majk", "entropy")]

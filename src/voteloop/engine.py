@@ -23,9 +23,15 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .metrics import RoundReport, best_round_of
-from .optim import WeightedSample, solve_gradient, tilt_distribution
+from .optim import (
+    WeightedSample,
+    _realized_objective,
+    _stack_weights,
+    _tilt_policy,
+    solve_gradient,
+)
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
-from .rewards import RewardTransform, log_transform, vote_classes
+from .rewards import RewardTransform, log_transform
 from .util import substream, substream_random
 
 __all__ = [
@@ -153,7 +159,10 @@ class OfflineDataset:
             rewards = tuple(r for *_, r, _ in entries)
             # The rewarded answers are the winning class as sampled; its
             # least member is the majority the vote returned.
-            majority = min(answer for _, _, answer, r, _ in entries if r == 1)
+            rewarded = [answer for _, _, answer, r, _ in entries if r == 1]
+            if not rewarded:
+                raise ValueError(f"{path}: prompt {prompt!r} has no row with reward 1")
+            majority = min(rewarded)
             records[prompt] = PromptRecord(
                 candidates=candidates,
                 rewards=rewards,
@@ -170,7 +179,8 @@ def _log_weigher(
     prev_majority: dict[str, str] | None,
 ):
     """The per-chain log-weight rule of one round, as a function
-    (prompt, class ids, 0/1 rewards) -> log-weights.
+    (prompt rows, class ids, 0/1 rewards) -> log-weights on arrays, where
+    `rows` gives the space row of each class id (broadcastable to it).
 
     log_transform is evaluated once per (reward, previous reward) pair; the
     previous reward of a chain is its class's indicator against the
@@ -184,12 +194,10 @@ def _log_weigher(
             for prev in (0, 1)
         ]
     )
-
-    def weigh(prompt: str, classes: np.ndarray, reward: np.ndarray) -> np.ndarray:
-        prev = space.class_of(prompt, prev_majority[prompt]) if shifted else -1
-        return table[2 * reward + (classes == prev)]
-
-    return weigh
+    if not shifted:
+        return lambda rows, classes, reward: table[2 * reward]
+    prev_class = np.array([space.class_of(x, prev_majority[x]) for x in space.prompts])
+    return lambda rows, classes, reward: table[2 * reward + (classes == prev_class[rows])]
 
 
 def generate_round(
@@ -206,7 +214,8 @@ def generate_round(
 
     Deterministic given the seed: every prompt draws from its own
     (seed, "gen", round, prompt) substream (all prompts in one batch), and
-    tie-breaks hash the answer multiset.
+    tie-breaks hash the answer multiset. All prompts are voted at once; only
+    tied votes build a (seed, "tie", round, prompt, ...) stream.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -218,22 +227,24 @@ def generate_round(
     draws = policy.sample_batch(
         order, substream_random(seed, [("gen", round_index, x) for x in order], k)
     )
-    records = {}
-    for prompt, idx in zip(order, draws):
-        classes = prompts.answer_classes(prompt)[idx]
-        chains, answers = prompts.chains(prompt), prompts.answers(prompt)
-        picked = idx.tolist()
-        sampled = [answers[i] for i in picked]
-        winner, majority = vote_classes(
-            classes, sampled, partial(substream, seed, "tie", round_index, prompt)
+    picks = prompts._offsets[:-1, None] + draws
+    classes, winner, majority = prompts._vote(
+        picks, lambda r: partial(substream, seed, "tie", round_index, order[r])
+    )
+    reward = (classes == winner[:, None]).astype(int)
+    log_w = weigh(np.arange(len(order))[:, None], classes, reward)
+    pairs = prompts._pairs
+    records = {
+        prompt: PromptRecord(
+            candidates=tuple(map(pairs.__getitem__, row)),
+            rewards=tuple(rewards),
+            log_weights=tuple(lws),
+            majority=pairs[best][1],
         )
-        reward = (classes == winner).astype(int)
-        records[prompt] = PromptRecord(
-            candidates=tuple(zip((chains[i] for i in picked), sampled)),
-            rewards=tuple(reward.tolist()),
-            log_weights=tuple(weigh(prompt, classes, reward).tolist()),
-            majority=majority,
+        for prompt, row, rewards, lws, best in zip(
+            order, picks.tolist(), reward.tolist(), log_w.tolist(), majority.tolist()
         )
+    }
     return OfflineDataset(round_index=round_index - 1, records=records)
 
 
@@ -268,44 +279,38 @@ def _chain_log_weights(
 
     The vote fixes the pseudo-label; the reward of *any* chain is then its
     answer class's indicator against that label, so the tabular update can
-    weight the full distribution, not just the drawn candidates.
+    weight the full distribution, not just the drawn candidates. One gather
+    over the space's flat class ids gives every prompt's row (read-only
+    views of one flat array).
     """
     weigh = _log_weigher(space, transform, round_index, prev_majority)
-    out: dict[str, np.ndarray] = {}
-    for prompt in space.prompts:
-        classes = space.answer_classes(prompt)
-        winner = space.class_of(prompt, dataset.records[prompt].majority)
-        out[prompt] = weigh(prompt, classes, classes == winner)
-    return out
+    classes = space._vote_tables()[0]
+    rows = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
+    winner = np.array([space.class_of(x, dataset.records[x].majority) for x in space.prompts])
+    flat = weigh(rows, classes, (classes == winner[rows]).astype(int))
+    flat.flags.writeable = False
+    bounds = space._bounds
+    return {x: flat[a:b] for x, a, b in zip(space.prompts, bounds, bounds[1:])}
 
 
 def _update_tabular(
     policy: TabularPolicy,
     log_weights: dict[str, np.ndarray],
 ) -> tuple[TabularPolicy, list[str], float]:
-    """Closed-form update with per-prompt degenerate freeze.
+    """Closed-form update of every prompt at once, with degenerate freeze.
 
     A prompt whose weighted mass vanishes keeps its previous distribution
     (the update objective is undefined there); the prompt is reported, never
     silently dropped. Also returns the realized objective
-    sum_c prev_p(c) * w(c) * log new_p(c).
+    sum_c prev_p(c) * w(c) * log new_p(c) over the other prompts.
     """
-    table: dict[str, np.ndarray] = {}
-    frozen: list[str] = []
-    objective = 0.0
-    for prompt in policy.space.prompts:
-        prev = policy.distribution(prompt)
-        try:
-            new = tilt_distribution(prev, log_weights[prompt], log=True)
-        except ValueError:
-            table[prompt] = prev
-            frozen.append(prompt)
-            continue
-        table[prompt] = new
-        w = np.exp(log_weights[prompt])
-        mask = (prev > 0) & (w > 0)
-        objective += float(np.sum(prev[mask] * w[mask] * np.log(new[mask])))
-    return TabularPolicy(policy.space, table), frozen, objective
+    space = policy.space
+    log_w, rows = _stack_weights(space, log_weights, log=True)
+    if not rows.all():
+        raise KeyError(f"no log-weights for prompt {space.prompts[int(np.argmin(rows))]!r}")
+    new, degenerate = _tilt_policy(policy, log_w, rows)
+    objective = _realized_objective(policy, log_w, new, ~degenerate)
+    return new, [space.prompts[r] for r in np.flatnonzero(degenerate).tolist()], objective
 
 
 def run(

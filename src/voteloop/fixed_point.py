@@ -27,8 +27,8 @@ import numpy as np
 from .answers import equivalent
 from .optim import closed_form_update
 from .policy import TabularPolicy
-from .rewards import class_key, equivalence_classes, vote_classes
-from .util import substream, substream_random, total_variation
+from .rewards import class_key, equivalence_classes
+from .util import row_sums, substream, substream_random
 
 __all__ = [
     "FixedPointConfig",
@@ -150,28 +150,24 @@ def _rewards_at(
     rewards: dict[str, np.ndarray] = {}
     labels: dict[str, str] = {}
     if mode != "population":
+        order = space.prompts
         draws = policy.sample_batch(
-            space.prompts,
-            substream_random(seed, [("fp-gen", iteration, x) for x in space.prompts], k),
+            order, substream_random(seed, [("fp-gen", iteration, x) for x in order], k)
         )
-    for j, prompt in enumerate(space.prompts):
-        if mode == "population":
-            # The "pop-tie" stream is built only for an exact marginal tie.
-            tied = _population_tied(policy, prompt, equivalent)
-            rng = population_tie_stream(seed, iteration, prompt) if len(tied) > 1 else None
-            label, members = _pick(tied, rng)
-            row = np.array([1.0 if a in members else 0.0 for a in space.answers(prompt)])
-        else:
-            idx = draws[j]
-            classes = space.answer_classes(prompt)
-            answers = space.answers(prompt)
-            winner, label = vote_classes(
-                classes[idx],
-                [answers[i] for i in idx.tolist()],
-                partial(substream, seed, "tie", iteration, prompt),
-            )
-            row = (classes == winner).astype(float)
-        rewards[prompt] = row
+        _, winner, majority = space._vote(
+            space._offsets[:-1, None] + draws,
+            lambda r: partial(substream, seed, "tie", iteration, order[r]),
+        )
+        for prompt, cid, best in zip(order, winner.tolist(), majority.tolist()):
+            rewards[prompt] = (space.answer_classes(prompt) == cid).astype(float)
+            labels[prompt] = space._pairs[best][1]
+        return rewards, labels
+    for prompt in space.prompts:
+        # The "pop-tie" stream is built only for an exact marginal tie.
+        tied = _population_tied(policy, prompt, equivalent)
+        rng = population_tie_stream(seed, iteration, prompt) if len(tied) > 1 else None
+        label, members = _pick(tied, rng)
+        rewards[prompt] = np.array([1.0 if a in members else 0.0 for a in space.answers(prompt)])
         labels[prompt] = label
     return rewards, labels
 
@@ -184,10 +180,7 @@ def _tilt_from_base(
 
 
 def _max_dev(a: TabularPolicy, b: TabularPolicy) -> float:
-    return max(
-        float(np.max(np.abs(a.distribution(x) - b.distribution(x))))
-        for x in a.space.prompts
-    )
+    return float(np.max(np.abs(a._probs - b._probs)))
 
 
 def kl_fixed_point(
@@ -290,15 +283,12 @@ def check_fixed_point_equivalence(
             converged_b = True
             break
 
-    per_prompt = [
-        total_variation(
-            solution.policy.distribution(x), policy.distribution(x)
-        )
-        for x in pi0.space.prompts
-    ]
+    # Total variation of every prompt: half the row sum of |difference|.
+    gap = np.abs(solution.policy._probs - policy._probs)
+    per_prompt = 0.5 * row_sums(gap, pi0.space._offsets)
     labels_a = trace.majorities[-1] if trace.majorities else {}
     return EquivalenceReport(
-        distance=max(per_prompt),
+        distance=float(per_prompt.max()),
         labels_match=labels_a == (labels_prev or {}),
         converged_fixed_point=trace.converged,
         converged_offline=converged_b,

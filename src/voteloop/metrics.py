@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Sequence
 
-from .rewards import vote_classes
+import numpy as np
+
 from .util import substream, substream_random
 
 __all__ = [
@@ -62,33 +63,27 @@ def maj_at_k(
 
     eval_samples repeats the k-draw and averages, trading eval cost for a
     tighter estimate; every (round, repeat, prompt) triple has its own
-    substream, and all of them are drawn in one batch.
+    substream, and all of them are drawn and voted in one batch (only
+    tied votes build an "eval-tie" stream).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
     space = policy.space
-    reps = range(eval_samples)
+    n = len(prompts)
     uniforms = substream_random(
-        seed, [("eval", round_index, rep, x) for rep in reps for x in prompts], k
+        seed, [("eval", round_index, rep, x) for rep in range(eval_samples) for x in prompts], k
     )
-    draws = policy.sample_batch(list(prompts) * eval_samples, uniforms)
-    scores = []
-    for j, prompt in enumerate(prompts):
-        classes = space.answer_classes(prompt)
-        answers = space.answers(prompt)
-        truth_class = space.class_of(prompt, truth[prompt])
-        hits = 0
-        for rep in reps:
-            idx = draws[rep * len(prompts) + j]
-            winner, _ = vote_classes(
-                classes[idx],
-                [answers[i] for i in idx.tolist()],
-                partial(substream, seed, f"eval-tie:{rep}", round_index, prompt),
-            )
-            hits += 1 if winner == truth_class else 0
-        scores.append(hits / eval_samples)
+    starts = np.tile(space._offsets[space._rows(prompts)], eval_samples)
+    picks = starts[:, None] + policy.sample_batch(list(prompts) * eval_samples, uniforms)
+    _, winner, _ = space._vote(
+        picks,
+        lambda r: partial(substream, seed, f"eval-tie:{r // n}", round_index, prompts[r % n]),
+    )
+    truth_class = np.array([space.class_of(x, truth[x]) for x in prompts], dtype=np.intp)
+    hits = (winner.reshape(eval_samples, n) == truth_class).sum(axis=0)
+    scores = (hits / eval_samples).tolist()
     return float(sum(scores) / len(scores))
 
 

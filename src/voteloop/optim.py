@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .policy import SoftmaxPolicy, TabularPolicy
-from .util import TINY_PROB
+from .util import TINY_PROB, row_sums
 
 __all__ = [
     "DegeneratePromptError",
@@ -99,6 +99,34 @@ def _as_log(weights: np.ndarray, log: bool) -> np.ndarray:
         return np.log(w)
 
 
+def _tilt_rows(
+    prev: np.ndarray, log_w: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """normalize(exp(log_w) * prev) on every row of flat arrays laid out by
+    `offsets`, in log space with a max shift; entries below TINY_PROB are
+    flushed to zero and their row renormalized.
+
+    Returns (new, degenerate). A degenerate row has no entry with both
+    positive weight and positive prior; it keeps prev. Row sums go through
+    `row_sums`, so every row's bits equal a one-row call.
+    """
+    lens = np.diff(offsets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        combined = log_w + np.where(prev > 0, np.log(prev), -np.inf)
+        shift = np.maximum.reduceat(combined, offsets[:-1])
+        out = np.exp(combined - np.repeat(shift, lens))
+        out /= np.repeat(row_sums(out, offsets), lens)
+        small = (out < TINY_PROB) & (out > 0)
+        if small.any():
+            flush = np.repeat(np.logical_or.reduceat(small, offsets[:-1]), lens)
+            out[small] = 0.0
+            out[flush] /= np.repeat(row_sums(out, offsets), lens)[flush]
+    degenerate = shift == -np.inf
+    dead = np.repeat(degenerate, lens)
+    out[dead] = prev[dead]
+    return out, degenerate
+
+
 def tilt_distribution(prev: np.ndarray, weights: np.ndarray, *, log: bool = False) -> np.ndarray:
     """normalize(weights * prev) for one prompt, computed in log space.
 
@@ -107,21 +135,47 @@ def tilt_distribution(prev: np.ndarray, weights: np.ndarray, *, log: bool = Fals
     """
     prev = np.asarray(prev, dtype=float)
     lw = _as_log(weights, log)
-    if lw.shape != prev.shape:
+    if lw.shape != prev.shape or prev.ndim != 1:
         raise ValueError("weights and distribution shapes differ")
-    with np.errstate(divide="ignore"):
-        logp = np.where(prev > 0, np.log(prev), -np.inf)
-    combined = lw + logp
-    shift = combined.max()
-    if shift == -np.inf:
+    out, degenerate = _tilt_rows(prev, lw, np.array([0, len(prev)]))
+    if degenerate[0]:
         raise ValueError("zero effective mass")
-    out = np.exp(combined - shift)
-    out /= out.sum()
-    small = (out < TINY_PROB) & (out > 0)
-    if small.any():
-        out[small] = 0.0
-        out /= out.sum()
     return out
+
+
+def _stack_weights(
+    space, weights: Mapping[str, Sequence[float]], log: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat log-weights from a prompt -> per-chain weights mapping
+    (log-weights when log=True), and the mask of the rows it covers; the
+    other rows get log-weight 0."""
+    lens = np.diff(space._offsets).tolist()
+    fill = 0.0 if log else 1.0
+    rows = [weights.get(x) for x in space.prompts]
+    parts = [
+        np.full(n, fill) if w is None else np.asarray(w, dtype=float) for w, n in zip(rows, lens)
+    ]
+    if any(part.shape != (n,) for part, n in zip(parts, lens)):
+        raise ValueError("weights and distribution shapes differ")
+    return _as_log(np.concatenate(parts), log), np.array([w is not None for w in rows])
+
+
+def _tilt_policy(
+    prev: TabularPolicy, log_w: np.ndarray, rows: np.ndarray
+) -> tuple[TabularPolicy, np.ndarray]:
+    """The tabular update on flat log-weights: the prompts in the rows where
+    `rows` holds are tilted at once, the others carry over. Returns the new
+    policy and the degenerate rows, which keep prev."""
+    offsets = prev.space._offsets
+    new, degenerate = _tilt_rows(prev._probs, log_w, offsets)
+    keep = np.repeat(~rows, np.diff(offsets))
+    new[keep] = prev._probs[keep]
+    return TabularPolicy._trusted(prev.space, new), degenerate & rows
+
+
+def _raise_degenerate(space, degenerate: np.ndarray) -> None:
+    if degenerate.any():
+        raise DegeneratePromptError(space.prompts[int(np.argmax(degenerate))])
 
 
 def closed_form_update(
@@ -137,19 +191,23 @@ def closed_form_update(
     unchanged. A prompt whose weighted mass vanishes raises
     DegeneratePromptError.
     """
-    table: dict[str, np.ndarray] = {}
-    for prompt in prev.space.prompts:
-        dist = prev.distribution(prompt)
-        if prompt not in weights:
-            table[prompt] = dist
-            continue
-        try:
-            table[prompt] = tilt_distribution(dist, weights[prompt], log=log)
-        except ValueError as exc:
-            if "zero effective mass" in str(exc):
-                raise DegeneratePromptError(prompt) from None
-            raise
-    return TabularPolicy(prev.space, table)
+    log_w, rows = _stack_weights(prev.space, weights, log)
+    policy, degenerate = _tilt_policy(prev, log_w, rows)
+    _raise_degenerate(prev.space, degenerate)
+    return policy
+
+
+def _realized_objective(
+    prev: TabularPolicy, log_w: np.ndarray, new: TabularPolicy, rows: np.ndarray
+) -> float:
+    """sum over `rows` of sum_c prev_p(c) * w(c) * log new_p(c), over the
+    chains with prev_p(c) > 0 and w(c) > 0; prompts are added left to right."""
+    offsets = prev.space._offsets
+    p, w = prev._probs, np.exp(log_w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * w * np.log(new._probs)
+    mask = (p > 0) & (w > 0) & np.repeat(rows, np.diff(offsets))
+    return float(np.cumsum(np.append(0.0, row_sums(terms, offsets, mask)))[-1])
 
 
 def product_form_oracle(
@@ -165,25 +223,16 @@ def product_form_oracle(
     """
     if len(weight_history) == 0:
         raise ValueError("weight_history must be nonempty")
-    table: dict[str, np.ndarray] = {}
-    for prompt in pi0.space.prompts:
-        n = len(pi0.space.chains(prompt))
-        acc = np.zeros(n)
-        touched = False
-        for round_weights in weight_history:
-            if prompt in round_weights:
-                acc = acc + _as_log(np.asarray(round_weights[prompt], dtype=float), log)
-                touched = True
-        if not touched:
-            table[prompt] = pi0.distribution(prompt)
-            continue
-        try:
-            table[prompt] = tilt_distribution(pi0.distribution(prompt), acc, log=True)
-        except ValueError as exc:
-            if "zero effective mass" in str(exc):
-                raise DegeneratePromptError(prompt) from None
-            raise
-    return TabularPolicy(pi0.space, table)
+    space = pi0.space
+    total = np.zeros(space._bounds[-1])
+    touched = np.zeros(len(space.prompts), dtype=bool)
+    for round_weights in weight_history:
+        log_w, rows = _stack_weights(space, round_weights, log)
+        total = total + log_w
+        touched |= rows
+    policy, degenerate = _tilt_policy(pi0, total, touched)
+    _raise_degenerate(space, degenerate)
+    return policy
 
 
 def weighted_mle_objective(policy: SoftmaxPolicy, samples: Sequence[WeightedSample]) -> float:

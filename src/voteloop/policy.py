@@ -9,25 +9,31 @@ Each chain's answer is fixed, so the space also holds the answer classes:
 one class id per chain, computed once per prompt on first use and cached.
 Votes count these ids instead of comparing answer strings.
 
+Every per-chain table is one flat float array laid out by the space's chain
+offsets: the chains of the prompt in row r sit at [offsets[r], offsets[r+1]).
+A policy stores its probabilities that way, and `distribution(prompt)` is a
+read-only slice. Row reductions over these arrays (`util.row_sums`) sum all
+rows of one length as one block, which adds each row in the order `np.sum`
+adds it alone, so batched results equal per-prompt ones bit for bit.
+
 Policies are immutable snapshots: every update constructs a new object, so
 concurrent reads are safe and sampling with per-prompt substreams is
 deterministic under any scheduling. Sampling draws by inverse CDF with the
 arithmetic of `Generator.choice`, so a chain-index draw equals
 `rng.choice(len(p), count, p=p)` bit for bit and leaves the stream in the
 same state. `sample_batch` draws for a whole prompt list from given
-uniforms; each policy builds its CDFs once, as one flat array laid out by
-the space's chain offsets.
+uniforms; each policy builds its CDFs once, as one flat array.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .answers import equivalent
-from .rewards import class_ids
-from .util import entropy_nats, normalize_simplex
+from .rewards import class_ids, vote_classes
+from .util import length_groups, normalize_simplex, row_sums
 
 __all__ = [
     "PromptSpace",
@@ -96,6 +102,14 @@ class PromptSpace:
         # Chains of the prompt in row r sit at [offsets[r], offsets[r + 1])
         # of any flat per-chain array.
         self._offsets = np.cumsum([0] + [len(c) for c in self._chains.values()])
+        self._bounds = self._offsets.tolist()
+        # (chain, answer) of every chain, flat.
+        self._pairs = tuple(
+            pair for x in self.prompts for pair in zip(self._chains[x], self._answers[x])
+        )
+        # Flat answer-class ids and answer ranks (_vote_tables), built on
+        # first use.
+        self._vote_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __contains__(self, prompt: str) -> bool:
         return prompt in self._chains
@@ -146,6 +160,54 @@ class PromptSpace:
             entry = self._classes[prompt] = (classes, dict(zip(answers, classes.tolist())))
         return entry
 
+    def _vote_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat answer-class ids, and flat answer ranks (the position of each
+        chain's answer among its prompt's distinct answers, sorted)."""
+        if self._vote_table is None:
+            classes = np.concatenate([self.answer_classes(x) for x in self.prompts])
+            ranks = []
+            for x in self.prompts:
+                answers = self._answers[x]
+                rank = {a: i for i, a in enumerate(sorted(set(answers)))}
+                ranks.extend(rank[a] for a in answers)
+            self._vote_table = classes, np.array(ranks, dtype=np.intp)
+        return self._vote_table
+
+    def _vote(
+        self, picks: np.ndarray, tie_stream: Callable[[int], Callable[..., np.random.Generator]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Majority vote of every row of `picks`, an [rows, k] array of flat
+        chain indices (each row within one prompt's chains).
+
+        Returns the class ids of the picks, the winning class of each row
+        and the flat chain index of each row's majority answer: the least
+        sampled answer of the winning class, the key `vote_classes` returns.
+        Votes are counted for all rows in one bincount over
+        row * width + class id; only a row whose top count ties calls
+        `vote_classes`, with `tie_stream(row)` as its tie stream.
+        """
+        flat_classes, flat_ranks = self._vote_tables()
+        classes = flat_classes[picks]
+        rows = np.arange(len(picks))
+        width = int(np.diff(self._offsets).max())
+        counts = np.bincount(
+            (rows[:, None] * width + classes).ravel(), minlength=len(picks) * width
+        ).reshape(len(picks), width)
+        top = counts.max(axis=1, initial=0)
+        winner = counts.argmax(axis=1)
+        for r in np.flatnonzero((counts == top[:, None]).sum(axis=1) > 1).tolist():
+            answers = [self._pairs[i][1] for i in picks[r].tolist()]
+            winner[r] = vote_classes(classes[r], answers, tie_stream(r))[0]
+        rank = np.where(classes == winner[:, None], flat_ranks[picks], width)
+        return classes, winner, picks[rows, rank.argmin(axis=1)]
+
+    def _span(self, prompt: str) -> tuple[int, int]:
+        """[start, end) of the prompt's chains in any flat per-chain array."""
+        row = self._row.get(prompt)
+        if row is None:
+            raise KeyError(f"unknown prompt {prompt!r}")
+        return self._bounds[row], self._bounds[row + 1]
+
     def _rows(self, prompts: Sequence[str]) -> np.ndarray:
         """Row index of every prompt, in the order given."""
         try:
@@ -166,15 +228,26 @@ class PromptSpace:
 
 
 class _PolicyBase:
-    """Shared read-side operations; subclasses provide distribution()."""
+    """Shared read-side operations over the flat probability table."""
 
     space: PromptSpace
-    # Normalized CDF of every prompt, flat in the space's chain offsets;
-    # built on first draw (rows that fail the p check hold NaN).
+    # Probabilities of every prompt, flat in the space's chain offsets
+    # (read-only).
+    _probs: np.ndarray
+    # Normalized CDF of every prompt, in the same layout; built on first
+    # draw (rows that fail the p check hold NaN).
     _cdf: np.ndarray | None = None
+    # Entropy of every prompt, built on first use.
+    _entropies: np.ndarray | None = None
+
+    def _set_table(self, space: PromptSpace, probs: np.ndarray) -> None:
+        probs.flags.writeable = False
+        self.space = space
+        self._probs = probs
 
     def distribution(self, prompt: str) -> np.ndarray:
-        raise NotImplementedError
+        start, end = self.space._span(prompt)
+        return self._probs[start:end]
 
     def prob(self, prompt: str, chain: str) -> float:
         i = self.space.chain_index(prompt, chain)
@@ -230,20 +303,14 @@ class _PolicyBase:
 
     def _cdf_table(self) -> np.ndarray:
         if self._cdf is None:
-            ps = [self.distribution(x) for x in self.space.prompts]
-            offsets = self.space._offsets
-            lens = np.diff(offsets)
-            if [len(p) for p in ps] != lens.tolist():
-                raise ValueError("distribution lengths do not match the chain alphabets")
-            flat = np.concatenate(ps)
-            sum_ok = np.array([abs(p.sum() - 1.0) <= CHOICE_SUM_TOL for p in ps])
-            table = np.full(len(flat), np.nan)
+            probs, offsets = self._probs, self.space._offsets
+            sum_ok = np.abs(row_sums(probs, offsets) - 1.0) <= CHOICE_SUM_TOL
+            table = np.full(len(probs), np.nan)
             # Generator.choice's check and arithmetic (p >= 0 and sum near 1;
             # cdf = p.cumsum(); cdf /= cdf[-1]) for all rows of one length at once.
-            for n in sorted(set(lens.tolist())):
-                at = offsets[:-1][lens == n][:, None] + np.arange(n)
-                block = flat[at]
-                ok = sum_ok[lens == n] & ~(block < 0).any(axis=1)
+            for rows, at in length_groups(offsets):
+                block = probs[at]
+                ok = sum_ok[rows] & ~(block < 0).any(axis=1)
                 cdf = block[ok].cumsum(axis=1)
                 cdf /= cdf[:, -1:]
                 table[at[ok]] = cdf
@@ -251,13 +318,23 @@ class _PolicyBase:
             self._cdf = table
         return self._cdf
 
+    def _entropy_table(self) -> np.ndarray:
+        """Shannon entropy of every prompt, in nats (0 * log 0 = 0)."""
+        if self._entropies is None:
+            p = self._probs
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = p * np.log(p)
+            self._entropies = -row_sums(terms, self.space._offsets, p > 0)
+        return self._entropies
+
     def entropy(self, prompt: str) -> float:
         """Shannon entropy of the chain distribution, in nats."""
-        return entropy_nats(self.distribution(prompt))
+        self.space._require(prompt)
+        return float(self._entropy_table()[self.space._row[prompt]])
 
     def mean_entropy(self, prompts: Sequence[str] | None = None) -> float:
         prompts = self.space.prompts if prompts is None else prompts
-        return float(np.mean([self.entropy(x) for x in prompts]))
+        return float(np.mean(self._entropy_table()[self.space._rows(prompts)]))
 
     def answer_marginal(self, prompt: str) -> dict[str, float]:
         """Total probability per answer string (chains grouped by answer)."""
@@ -272,14 +349,13 @@ class TabularPolicy(_PolicyBase):
     """Explicit per-prompt probability table over chains.
 
     Input vectors are normalized on construction (sub-1e-300 entries flushed
-    to zero); the stored arrays are read-only.
+    to zero) and stored as one read-only flat array.
     """
 
     kind = "tabular"
 
     def __init__(self, space: PromptSpace, probs: Mapping[str, Sequence[float]]):
-        self.space = space
-        table: dict[str, np.ndarray] = {}
+        rows = []
         for prompt in space.prompts:
             if prompt not in probs:
                 raise KeyError(f"no probabilities for prompt {prompt!r}")
@@ -289,24 +365,20 @@ class TabularPolicy(_PolicyBase):
                     f"prompt {prompt!r}: expected {len(space.chains(prompt))} "
                     f"probabilities, got shape {vec.shape}"
                 )
-            vec = normalize_simplex(vec, tol=TABULAR_SUM_TOL)
-            vec.flags.writeable = False
-            table[prompt] = vec
-        self._table = table
+            rows.append(normalize_simplex(vec, tol=TABULAR_SUM_TOL))
+        self._set_table(space, np.concatenate(rows))
+
+    @classmethod
+    def _trusted(cls, space: PromptSpace, probs: np.ndarray) -> "TabularPolicy":
+        """Policy over a flat table its caller has just normalized row by
+        row (no checks; the array is taken over and made read-only)."""
+        policy = cls.__new__(cls)
+        policy._set_table(space, probs)
+        return policy
 
     @classmethod
     def uniform(cls, space: PromptSpace) -> "TabularPolicy":
         return cls(space, {x: np.ones(len(space.chains(x))) for x in space.prompts})
-
-    def distribution(self, prompt: str) -> np.ndarray:
-        self.space._require(prompt)
-        return self._table[prompt]
-
-    def replace(self, prompt: str, probs: Sequence[float]) -> "TabularPolicy":
-        """New policy with one prompt's distribution swapped out."""
-        table = {x: self._table[x] for x in self.space.prompts}
-        table[prompt] = np.asarray(probs, dtype=float)
-        return TabularPolicy(self.space, table)
 
 
 class SoftmaxPolicy(_PolicyBase):
@@ -322,10 +394,8 @@ class SoftmaxPolicy(_PolicyBase):
     ):
         if not (temperature > 0):
             raise ValueError("temperature must be positive")
-        self.space = space
         self.temperature = float(temperature)
-        self._logits: dict[str, np.ndarray] = {}
-        self._table: dict[str, np.ndarray] = {}
+        vecs, probs = [], []
         for prompt in space.prompts:
             if prompt not in logits:
                 raise KeyError(f"no logits for prompt {prompt!r}")
@@ -334,34 +404,29 @@ class SoftmaxPolicy(_PolicyBase):
                 raise ValueError(f"prompt {prompt!r}: logit shape {vec.shape} mismatch")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"prompt {prompt!r}: logits must be finite")
-            vec = vec.copy()
-            vec.flags.writeable = False
-            self._logits[prompt] = vec
             z = vec / self.temperature
             z = z - z.max()
             p = np.exp(z)
             p /= p.sum()
-            p.flags.writeable = False
-            self._table[prompt] = p
-        for prompt, p in self._table.items():
             if abs(p.sum() - 1.0) > SOFTMAX_SUM_TOL:
                 raise ValueError(f"prompt {prompt!r}: softmax normalization failed")
+            vecs.append(vec)
+            probs.append(p)
+        self._logits = np.concatenate(vecs)
+        self._logits.flags.writeable = False
+        self._set_table(space, np.concatenate(probs))
 
     @classmethod
     def zeros(cls, space: PromptSpace, temperature: float = 1.0) -> "SoftmaxPolicy":
         return cls(space, {x: np.zeros(len(space.chains(x))) for x in space.prompts}, temperature)
 
     def logits(self, prompt: str) -> np.ndarray:
-        self.space._require(prompt)
-        return self._logits[prompt]
-
-    def distribution(self, prompt: str) -> np.ndarray:
-        self.space._require(prompt)
-        return self._table[prompt]
+        start, end = self.space._span(prompt)
+        return self._logits[start:end]
 
     def with_logits(self, logits: Mapping[str, Sequence[float]]) -> "SoftmaxPolicy":
         """New policy with some prompts' logits replaced."""
-        merged = {x: self._logits[x] for x in self.space.prompts}
+        merged = {x: self.logits(x) for x in self.space.prompts}
         merged.update({x: np.asarray(v, dtype=float) for x, v in logits.items()})
         return SoftmaxPolicy(self.space, merged, self.temperature)
 
@@ -375,49 +440,66 @@ def save_policy(policy: Policy, path) -> None:
     """Checkpoint a policy as flat text, one (prompt, chain, value) per line.
 
     Values are written as hexadecimal floats, so load_policy restores them
-    bit-for-bit.
+    bit-for-bit. The records are written in one pass over the flat table.
     """
     lines = [_HEADER]
     if isinstance(policy, SoftmaxPolicy):
         lines.append(f"# kind softmax temperature {policy.temperature.hex()}")
-        value_of = policy.logits
+        values = policy._logits
     else:
         lines.append("# kind tabular")
-        value_of = policy.distribution
-    for prompt in policy.space.prompts:
-        for chain, value in zip(policy.space.chains(prompt), value_of(prompt)):
-            lines.append(f"{prompt}\t{chain}\t{float(value).hex()}")
+        values = policy._probs
+    space = policy.space
+    keys = ((x, c) for x in space.prompts for c in space._chains[x])
+    lines.extend(f"{x}\t{c}\t{v.hex()}" for (x, c), v in zip(keys, values.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_policy(path, space: PromptSpace) -> Policy:
-    """Inverse of save_policy; the PromptSpace supplies the chain layout."""
+    """Inverse of save_policy; the PromptSpace supplies the chain layout.
+
+    A file that is not a complete checkpoint of this space raises
+    ValueError naming the path: a missing or malformed kind header, a
+    malformed record, a record for a prompt or chain outside the space, a
+    duplicate record, or a prompt some of whose chains have no record.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ValueError(f"{path}: not a voteloop policy checkpoint")
-    meta = lines[1].split()
-    if len(meta) < 3 or meta[1] != "kind":
-        raise ValueError(f"{path}: missing kind header")
-    kind = meta[2]
-    values: dict[str, dict[str, float]] = {}
+    meta = lines[1].split() if len(lines) > 1 else []
+    kind = meta[2] if len(meta) >= 3 and meta[:2] == ["#", "kind"] else None
+    if kind not in ("tabular", "softmax"):
+        raise ValueError(f"{path}: missing or unknown kind header")
+    if kind == "softmax" and (len(meta) != 5 or meta[3] != "temperature"):
+        raise ValueError(f"{path}: softmax kind header needs a temperature")
+    values = np.empty(space._bounds[-1])
+    seen = np.zeros(len(values), dtype=bool)
     for ln in lines[2:]:
         parts = ln.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed record {ln!r}")
         prompt, chain, hexval = parts
-        values.setdefault(prompt, {})[chain] = float.fromhex(hexval)
-    table = {}
-    for prompt in space.prompts:
-        chains = space.chains(prompt)
-        rec = values.get(prompt)
-        if rec is None or set(rec) != set(chains):
-            raise ValueError(f"{path}: records do not cover prompt {prompt!r}")
-        table[prompt] = np.array([rec[c] for c in chains], dtype=float)
-    if kind == "tabular":
-        return TabularPolicy(space, table)
-    if kind == "softmax":
-        temperature = float.fromhex(meta[4])
-        return SoftmaxPolicy(space, table, temperature)
-    raise ValueError(f"{path}: unknown policy kind {kind!r}")
+        row = space._row.get(prompt)
+        col = space._index[prompt].get(chain) if row is not None else None
+        if col is None:
+            raise ValueError(f"{path}: record {ln!r} is outside the prompt space")
+        at = space._bounds[row] + col
+        if seen[at]:
+            raise ValueError(f"{path}: duplicate record for prompt {prompt!r} chain {chain!r}")
+        try:
+            values[at] = float.fromhex(hexval)
+        except ValueError:
+            raise ValueError(f"{path}: malformed value in record {ln!r}") from None
+        seen[at] = True
+    if not seen.all():
+        row = int(np.searchsorted(space._offsets, np.argmin(seen), side="right")) - 1
+        raise ValueError(f"{path}: records do not cover prompt {space.prompts[row]!r}")
+    table = {x: values[a:b] for x, a, b in zip(space.prompts, space._bounds, space._bounds[1:])}
+    try:
+        if kind == "tabular":
+            return TabularPolicy(space, table)
+        return SoftmaxPolicy(space, table, float.fromhex(meta[4]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,4 +1,5 @@
-"""Shared plumbing: named random substreams and simplex helpers."""
+"""Shared plumbing: named random substreams, simplex helpers and row sums
+over flat per-chain arrays."""
 
 from __future__ import annotations
 
@@ -130,13 +131,35 @@ def normalize_simplex(raw: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return out
 
 
-def entropy_nats(p: np.ndarray) -> float:
-    """Shannon entropy of a probability vector, in nats (0 * log 0 = 0)."""
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def total_variation(p: Sequence[float], q: Sequence[float]) -> float:
     """Total-variation distance between two distributions on the same support."""
     return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
+
+
+def length_groups(offsets: np.ndarray):
+    """Rows of a flat array grouped by length: for every row length n, the
+    rows of that length and the [rows, n] flat indices of their entries.
+
+    Row r of the flat array is [offsets[r], offsets[r + 1]).
+    """
+    lens = np.diff(offsets)
+    for n in sorted(set(lens.tolist())):
+        rows = np.flatnonzero(lens == n)
+        yield rows, offsets[rows][:, None] + np.arange(n)
+
+
+def row_sums(values: np.ndarray, offsets: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Sum of every row of a flat array, bit for bit as `np.sum` adds the row.
+
+    Rows of one length are summed as one [rows, n] block along axis 1, which
+    adds each row in the order a 1-D `np.sum` does (`np.add.reduceat` adds
+    in another order). With a mask, row r sums only its entries where the
+    mask holds, as `np.sum(row[row_mask])` does; an empty row sums to 0.0.
+    """
+    if mask is not None:
+        values = values[mask]
+        offsets = np.concatenate(([0], np.cumsum(mask)))[offsets]
+    out = np.zeros(len(offsets) - 1)
+    for rows, at in length_groups(offsets):
+        out[rows] = values[at].sum(axis=1)
+    return out

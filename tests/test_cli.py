@@ -6,6 +6,7 @@ import os
 import pytest
 
 from voteloop.cli import main
+from voteloop.metrics import RoundReport, emit_metrics
 
 BASE_ARGS = [
     "--corpus-n-train", "12",
@@ -127,6 +128,25 @@ class TestReport:
         assert run_cli(["report", out]) == 0
         text = capsys.readouterr().out
         assert "best round" in text
+
+    def test_best_round_matches_summary_on_a_tie(self, tmp_path, capsys):
+        # Rounds 1 and 3 tie on train maj@k; both report and summary pick 1.
+        accs = [0.5, 0.75, 0.6, 0.75]
+        reports = [
+            RoundReport(
+                round_index=r,
+                maj1_acc={"train": 0.4, "test": 0.4},
+                majk_acc={"train": acc, "test": 0.9 - 0.1 * r},
+                mean_entropy={"train": 1.0, "test": 1.0},
+            )
+            for r, acc in enumerate(accs)
+        ]
+        emit_metrics(reports, tmp_path / "metrics.csv", tmp_path / "summary.json")
+        best = json.loads((tmp_path / "summary.json").read_text())["best_round"]
+        assert run_cli(["report", tmp_path]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        starred = [ln.split()[0] for ln in rows if ln.split()[0].endswith("*")]
+        assert starred == [f"{best}*"] == ["1*"]
 
     def test_missing_directory_is_exit_2(self, tmp_path):
         assert run_cli(["report", tmp_path / "empty"]) == 2

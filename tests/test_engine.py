@@ -89,6 +89,15 @@ class TestGenerateRound:
         assert got.rewards == rec.rewards
         assert got.log_weights == rec.log_weights
 
+    def test_load_names_a_prompt_without_reward(self, tmp_path):
+        policy = TabularPolicy.uniform(vote_space())
+        path = tmp_path / "round.jsonl"
+        generate_round(policy, policy.space, k=5, seed=2).save(path)
+        text = path.read_text(encoding="utf-8").replace('"reward": 1', '"reward": 0')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"round\.jsonl: prompt 'p' has no row with reward 1"):
+            OfflineDataset.load(path)
+
     @settings(max_examples=100, deadline=None)
     @given(
         records=st.dictionaries(

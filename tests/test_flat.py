@@ -1,0 +1,228 @@
+"""Flat-table operations against per-prompt references, bit for bit.
+
+The tabular update, entropies and votes run over all prompts at once on
+flat arrays laid out by the space's chain offsets. Each must equal the
+per-prompt computation it replaced: same distributions, degenerate
+prompts, objective, entropies and vote winners, to the last bit. The
+references below are the one-prompt-at-a-time code.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from voteloop.engine import _update_tabular
+from voteloop.optim import DegeneratePromptError, closed_form_update
+from voteloop.policy import TABULAR_SUM_TOL, PromptSpace, TabularPolicy
+from voteloop.rewards import vote_classes
+from voteloop.util import TINY_PROB, normalize_simplex, substream
+
+
+def reference_tilt(prev: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """normalize(exp(lw) * prev) for one prompt: the per-prompt rule."""
+    with np.errstate(divide="ignore"):
+        logp = np.where(prev > 0, np.log(prev), -np.inf)
+    combined = lw + logp
+    shift = combined.max()
+    if shift == -np.inf:
+        raise ValueError("zero effective mass")
+    out = np.exp(combined - shift)
+    out /= out.sum()
+    small = (out < TINY_PROB) & (out > 0)
+    if small.any():
+        out[small] = 0.0
+        out /= out.sum()
+    return out
+
+
+def reference_update(policy: TabularPolicy, log_w: dict[str, np.ndarray]):
+    """Per-prompt update with degenerate freeze and the realized objective;
+    every new row goes through the validating constructor's normalization."""
+    table, frozen, objective = {}, [], 0.0
+    for prompt in policy.space.prompts:
+        prev = policy.distribution(prompt)
+        try:
+            new = normalize_simplex(reference_tilt(prev, log_w[prompt]), tol=TABULAR_SUM_TOL)
+        except ValueError:
+            table[prompt] = prev
+            frozen.append(prompt)
+            continue
+        table[prompt] = new
+        w = np.exp(log_w[prompt])
+        mask = (prev > 0) & (w > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            objective += float(np.sum(prev[mask] * w[mask] * np.log(new[mask])))
+    return table, frozen, objective
+
+
+def reference_entropy(p: np.ndarray) -> float:
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+# Prior entries: exact zeros, tiny masses that tilt below TINY_PROB, and
+# ordinary masses. Log-weights: zero weights, weights that push a row's
+# entries below TINY_PROB, and ordinary ones.
+PRIOR = st.one_of(st.just(0.0), st.just(1e-290), st.floats(1e-3, 1.0))
+LOG_WEIGHT = st.one_of(st.just(-math.inf), st.just(-700.0), st.floats(-30.0, 30.0))
+
+
+@st.composite
+def tabular_updates(draw, prompts=st.integers(1, 6), prior=PRIOR, log_weight=LOG_WEIGHT):
+    chains, answers, probs, log_w = {}, {}, {}, {}
+    for i in range(draw(prompts)):
+        n = draw(st.integers(1, 20))
+        prev = np.array(draw(st.lists(prior, min_size=n, max_size=n).filter(lambda v: sum(v) > 0)))
+        lw = np.array(draw(st.lists(log_weight, min_size=n, max_size=n)))
+        if draw(st.integers(0, 4)) == 0:  # degenerate: no weight on the support
+            lw[prev > 0] = -math.inf
+        prompt = f"p{i}"
+        chains[prompt] = tuple(f"c{j}" for j in range(n))
+        answers[prompt] = {c: c for c in chains[prompt]}
+        probs[prompt], log_w[prompt] = prev, lw
+    space = PromptSpace(chains, answers)
+    return TabularPolicy(space, probs), log_w
+
+
+class TestFlatUpdate:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tabular_updates())
+    def test_update_equals_per_prompt_rule(self, case):
+        policy, log_w = case
+        new, frozen, objective = _update_tabular(policy, log_w)
+        table, frozen_ref, objective_ref = reference_update(policy, log_w)
+        assert frozen == frozen_ref
+        for prompt in policy.space.prompts:
+            assert new.distribution(prompt).tobytes() == table[prompt].tobytes()
+        assert np.float64(objective).tobytes() == np.float64(objective_ref).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        case=tabular_updates(
+            prompts=st.integers(3, 12), prior=st.floats(1e-3, 1.0), log_weight=st.floats(-5.0, 5.0)
+        )
+    )
+    def test_finite_objective_adds_prompts_left_to_right(self, case):
+        # Ordinary weights keep the objective finite, so the order in which
+        # prompts' terms are added shows in its last bits.
+        policy, log_w = case
+        _, _, objective = _update_tabular(policy, log_w)
+        _, _, objective_ref = reference_update(policy, log_w)
+        assert math.isfinite(objective_ref)
+        assert objective == objective_ref
+
+    @settings(max_examples=75, deadline=None)
+    @given(case=tabular_updates(), data=st.data())
+    def test_closed_form_update_on_a_prompt_subset(self, case, data):
+        policy, log_w = case
+        prompts = policy.space.prompts
+        chosen = data.draw(st.lists(st.sampled_from(prompts), unique=True))
+        weights = {x: np.exp(log_w[x]) for x in chosen}
+        degenerate = []
+        for x in chosen:
+            try:
+                with np.errstate(divide="ignore"):
+                    reference_tilt(policy.distribution(x), np.log(weights[x]))
+            except ValueError:
+                degenerate.append(x)
+        if degenerate:
+            first = min(degenerate, key=prompts.index)
+            try:
+                closed_form_update(policy, weights)
+            except DegeneratePromptError as exc:
+                assert exc.prompt == first
+            else:
+                raise AssertionError("degenerate prompt not reported")
+            return
+        new = closed_form_update(policy, weights)
+        for x in prompts:
+            prev = policy.distribution(x)
+            want = prev
+            if x in weights:
+                with np.errstate(divide="ignore"):
+                    want = normalize_simplex(
+                        reference_tilt(prev, np.log(weights[x])), tol=TABULAR_SUM_TOL
+                    )
+            assert new.distribution(x).tobytes() == want.tobytes()
+
+    def test_flush_and_degenerate_rows_are_exercised(self):
+        # One row flushes a sub-TINY_PROB entry, one is degenerate.
+        space = PromptSpace(
+            {"a": ("c0", "c1", "c2"), "b": ("c0", "c1")},
+            {"a": {"c0": "x", "c1": "y", "c2": "z"}, "b": {"c0": "x", "c1": "y"}},
+        )
+        policy = TabularPolicy(space, {"a": (0.5, 0.3, 0.2), "b": (1.0, 0.0)})
+        log_w = {"a": np.array([0.0, -700.0, 1.0]), "b": np.array([-math.inf, 0.0])}
+        new, frozen, _ = _update_tabular(policy, log_w)
+        assert frozen == ["b"]
+        assert new.distribution("a")[1] == 0.0
+        table, _, _ = reference_update(policy, log_w)
+        assert new.distribution("a").tobytes() == table["a"].tobytes()
+
+
+class TestFlatEntropy:
+    @settings(max_examples=75, deadline=None)
+    @given(case=tabular_updates(), data=st.data())
+    def test_entropies_equal_per_prompt(self, case, data):
+        policy, _ = case
+        prompts = policy.space.prompts
+        for x in prompts:
+            want = reference_entropy(policy.distribution(x))
+            assert np.float64(policy.entropy(x)).tobytes() == np.float64(want).tobytes()
+        subset = data.draw(st.lists(st.sampled_from(prompts), min_size=1))
+        want = float(np.mean([reference_entropy(policy.distribution(x)) for x in subset]))
+        assert policy.mean_entropy(subset) == want
+
+
+# Answers with merged surface forms, so classes hold several strings and
+# votes often tie.
+ANSWERS = ("0.5", "\\frac{1}{2}", "1/2", "3", "4", "x")
+
+
+@st.composite
+def votes(draw):
+    chains, answers = {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 20))
+        drawn = draw(st.lists(st.sampled_from(ANSWERS), min_size=n, max_size=n))
+        chains[f"p{i}"] = tuple(f"c{j}" for j in range(n))
+        answers[f"p{i}"] = {f"c{j}": a for j, a in enumerate(drawn)}
+    space = PromptSpace(chains, answers)
+    k = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.sampled_from(space.prompts), min_size=1, max_size=12))
+    picks = [
+        draw(st.lists(st.integers(0, len(space.chains(x)) - 1), min_size=k, max_size=k))
+        for x in rows
+    ]
+    return space, rows, np.array(picks, dtype=np.intp)
+
+
+class TestFlatVote:
+    @settings(max_examples=150, deadline=None)
+    @given(case=votes())
+    def test_vote_equals_per_row_vote_classes(self, case):
+        space, rows, idx = case
+        streams = []
+
+        def tie_stream(r):
+            streams.append(r)
+            return partial(substream, 7, "tie", r)
+
+        picks = space._offsets[space._rows(rows)][:, None] + idx
+        classes, winner, majority = space._vote(picks, tie_stream)
+        tied = []
+        for r, (prompt, row) in enumerate(zip(rows, idx)):
+            counts = np.bincount(space.answer_classes(prompt)[row])
+            if (counts == counts.max()).sum() > 1:
+                tied.append(r)
+            answers = [space.answers(prompt)[i] for i in row.tolist()]
+            want_winner, want_majority = vote_classes(
+                space.answer_classes(prompt)[row], answers, partial(substream, 7, "tie", r)
+            )
+            assert classes[r].tolist() == space.answer_classes(prompt)[row].tolist()
+            assert winner[r] == want_winner
+            assert space._pairs[majority[r]][1] == want_majority
+        assert streams == tied

@@ -3,8 +3,10 @@
 The digests cover every byte of `checkpoints/` and `datasets/`, so they
 pin the whole random-stream contract: sampling substreams, vote tie-breaks
 (the tabular run has 5 tied votes of 150, the softmax run 2 of 50),
-reward weights and both update backends. A change that moves any of them
-must say so and re-record the digests below.
+reward weights and both update backends. `metrics.csv` and `summary.json`
+pin the evaluation: the maj@1/maj@k votes, mean entropies, realized
+objectives and the best round. A change that moves any of them must say
+so and re-record the digests below.
 """
 
 import hashlib
@@ -30,10 +32,14 @@ GOLDEN = {
     "tabular-shifted": {
         "checkpoints": "c248a63c208da73de6048998b4f1689e0fc1e2038dad74e9769a77b0047e2072",
         "datasets": "bb41c5eb7e81d8633fc35a13bc8eef12455788abb126a81283f311b854142423",
+        "metrics.csv": "4d8ba2618ae585ac98f9bdca719d622b02049b542267b68d832fe18df0e1cb52",
+        "summary.json": "fb710e9af7ef9d9e6777e42f02d2df7ec414519517722b6e2367d0fd4b594f2e",
     },
     "softmax": {
         "checkpoints": "8b6c49bcf4ba1964a83f4a774b630a98cc48bde922f8109ae6936a2d2fda1b2f",
         "datasets": "1888db86e657c3819fcf91d2380655043a70aca8b3f504b9351b055f8de62aba",
+        "metrics.csv": "16c9ceaa26bd41430607c53db3a9660eea8540f6a99c5df850aacd4bb9f5431e",
+        "summary.json": "837eb637e0dd6c328ce02620c45ddc537df2053fa902ff5426f5f8a45845b88d",
     },
 }
 
@@ -52,4 +58,6 @@ def test_run_artifacts_match_golden_digests(name, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", *RUNS[name], "--out-dir", str(out)]) == 0
     got = {part: tree_digest(out / part) for part in ("checkpoints", "datasets")}
+    for file in ("metrics.csv", "summary.json"):
+        got[file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
     assert got == GOLDEN[name]

@@ -143,12 +143,8 @@ class TestSample:
 
     def test_sample_indices_check_the_distribution(self):
         space = small_space()
-
-        class Broken(TabularPolicy):
-            def distribution(self, prompt):
-                return np.array([0.5, 0.6, -0.1]) if prompt == "p0" else np.array([0.5, 0.4])
-
-        policy = Broken.uniform(space)
+        # An unvalidated flat table: p0 has a negative entry, p1 sums to 0.9.
+        policy = TabularPolicy._trusted(space, np.array([0.5, 0.6, -0.1, 0.5, 0.4]))
         for prompt in space.prompts:
             with pytest.raises(ValueError):
                 policy.sample_indices(prompt, 3, np.random.default_rng(0))
@@ -205,12 +201,8 @@ class TestSampleBatch:
 
     def test_check_names_the_prompt(self):
         space = small_space()
-
-        class Broken(TabularPolicy):
-            def distribution(self, prompt):
-                return np.array([0.5, 0.6]) if prompt == "p1" else super().distribution(prompt)
-
-        policy = Broken.uniform(space)
+        # An unvalidated flat table: p0 is uniform, p1 sums to 1.1.
+        policy = TabularPolicy._trusted(space, np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.6]))
         assert policy.sample_batch(["p0"], np.zeros((1, 3))).tolist() == [[0, 0, 0]]
         with pytest.raises(ValueError, match="'p1'"):
             policy.sample_batch(["p0", "p1"], np.zeros((2, 3)))
@@ -376,4 +368,39 @@ class TestCheckpoint:
         path = tmp_path / "junk"
         path.write_text("hello\n")
         with pytest.raises(ValueError):
+            load_policy(path, small_space())
+
+    def _write_checkpoint(self, tmp_path, body: str):
+        path = tmp_path / "ckpt.policy"
+        path.write_text("# voteloop policy v1\n" + body, encoding="utf-8")
+        return path
+
+    def test_rejects_header_only_file(self, tmp_path):
+        path = self._write_checkpoint(tmp_path, "")
+        with pytest.raises(ValueError, match="ckpt.policy: missing or unknown kind header"):
+            load_policy(path, small_space())
+
+    def test_rejects_softmax_kind_without_temperature(self, tmp_path):
+        path = self._write_checkpoint(tmp_path, "# kind softmax\n")
+        with pytest.raises(ValueError, match="ckpt.policy: softmax kind header needs a temperature"):
+            load_policy(path, small_space())
+
+    def test_rejects_duplicate_record(self, tmp_path):
+        space = PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "a", "c1": "b"}})
+        records = "p\tc0\t0x1p-2\np\tc1\t0x1p-1\np\tc1\t0x1.8p-1\n"
+        path = self._write_checkpoint(tmp_path, "# kind tabular\n" + records)
+        with pytest.raises(ValueError, match="ckpt.policy: duplicate record for prompt 'p' chain 'c1'"):
+            load_policy(path, space)
+
+    @pytest.mark.parametrize("extra", ["q\tc0\t0x1p-1\n", "p\tc9\t0x1p-1\n"])
+    def test_rejects_records_outside_the_space(self, tmp_path, extra):
+        space = PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "a", "c1": "b"}})
+        records = "p\tc0\t0x1p-1\np\tc1\t0x1p-1\n" + extra
+        path = self._write_checkpoint(tmp_path, "# kind tabular\n" + records)
+        with pytest.raises(ValueError, match="ckpt.policy: record .* is outside the prompt space"):
+            load_policy(path, space)
+
+    def test_rejects_missing_records(self, tmp_path):
+        path = self._write_checkpoint(tmp_path, "# kind tabular\np0\tc0\t0x1p-1\n")
+        with pytest.raises(ValueError, match="ckpt.policy: records do not cover prompt 'p0'"):
             load_policy(path, small_space())
