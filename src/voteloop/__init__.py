@@ -14,7 +14,6 @@ from .fixed_point import (
     KLSolution,
     check_fixed_point_equivalence,
     kl_fixed_point,
-    population_reward,
 )
 from .metrics import RoundReport, emit_metrics, maj_at_k, make_eval_hook
 from .optim import (
@@ -31,7 +30,6 @@ from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, load_policy, save
 from .rewards import (
     CandidateSet,
     RewardTransform,
-    apply_transform,
     majority_vote,
     score_candidates,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "KLSolution",
     "check_fixed_point_equivalence",
     "kl_fixed_point",
-    "population_reward",
     "RoundReport",
     "emit_metrics",
     "maj_at_k",
@@ -72,7 +69,6 @@ __all__ = [
     "save_policy",
     "CandidateSet",
     "RewardTransform",
-    "apply_transform",
     "majority_vote",
     "score_candidates",
     "Corpus",

@@ -284,6 +284,20 @@ class _Parser:
         raise _ParseFailure(f"unexpected token {tok!r}")
 
 
+def _parse_with(raw: str, budget: _Budget) -> CanonicalExpr:
+    """parse_answer's body on a caller-owned budget: strip, tokenize and
+    parse `raw`; _BudgetExhausted is left to the caller."""
+    trimmed = raw.strip()
+    try:
+        stripped = _strip_answer(raw)
+        if not stripped:
+            return CanonicalExpr(None, trimmed)
+        tokens = _tokenize(stripped, budget)
+        return CanonicalExpr(_Parser(tokens, budget).parse(), trimmed)
+    except (_ParseFailure, ValueError, OverflowError, RecursionError):
+        return CanonicalExpr(None, trimmed)
+
+
 def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
     """Parse an answer string into an exact rational, or an opaque leaf.
 
@@ -292,17 +306,11 @@ def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
     """
     if not isinstance(raw, str):
         raw = str(raw)
-    trimmed = raw.strip()
     budget = _Budget(DEFAULT_STEP_BUDGET if step_budget is None else int(step_budget))
     try:
-        stripped = _strip_answer(raw)
-        if not stripped:
-            return CanonicalExpr(None, trimmed)
-        tokens = _tokenize(stripped, budget)
-        value = _Parser(tokens, budget).parse()
-        return CanonicalExpr(value, trimmed)
-    except (_ParseFailure, _BudgetExhausted, ValueError, OverflowError, RecursionError):
-        return CanonicalExpr(None, trimmed)
+        return _parse_with(raw, budget)
+    except _BudgetExhausted:
+        return CanonicalExpr(None, raw.strip())
 
 
 _parse_default = lru_cache(maxsize=65_536)(parse_answer)
@@ -323,27 +331,13 @@ def equivalent(a: str, b: str, step_budget: int | None = None) -> bool:
     if step_budget is None:
         ca = _parse_default(a)
         cb = _parse_default(b)
-        if ca.is_numeric and cb.is_numeric:
-            return ca.value == cb.value
-        return ca.text == cb.text
-    budget = _Budget(step_budget)
-
-    def _parse(raw: str) -> CanonicalExpr:
-        trimmed = raw.strip()
+    else:
+        budget = _Budget(step_budget)
         try:
-            stripped = _strip_answer(raw)
-            if not stripped:
-                return CanonicalExpr(None, trimmed)
-            tokens = _tokenize(stripped, budget)
-            return CanonicalExpr(_Parser(tokens, budget).parse(), trimmed)
-        except (_ParseFailure, ValueError, OverflowError, RecursionError):
-            return CanonicalExpr(None, trimmed)
-
-    try:
-        ca = _parse(a)
-        cb = _parse(b)
-    except _BudgetExhausted:
-        return a.strip() == b.strip()
+            ca = _parse_with(a, budget)
+            cb = _parse_with(b, budget)
+        except _BudgetExhausted:
+            return a.strip() == b.strip()
     if ca.is_numeric and cb.is_numeric:
         return ca.value == cb.value
     return ca.text == cb.text

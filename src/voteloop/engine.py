@@ -70,10 +70,7 @@ class RunConfig:
             raise ValueError("k, rounds, and patience must all be >= 1")
         if self.backend not in ("tabular", "softmax"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.transform not in ("identity", "exponential", "baseline_shifted"):
-            raise ValueError(f"unknown transform {self.transform!r}")
-        if self.transform != "identity" and not (self.beta > 0):
-            raise ValueError("beta must be positive for exponential transforms")
+        self.reward_transform()  # validates transform and beta
         if self.eval_k is not None and self.eval_k < 1:
             raise ValueError("eval_k must be >= 1 when set")
         if self.eval_samples < 1:
@@ -270,12 +267,12 @@ class RunResult:
 
 def _chain_log_weights(
     space: PromptSpace,
-    dataset: OfflineDataset,
+    majority: dict[str, str],
     transform: RewardTransform,
     round_index: int,
     prev_majority: dict[str, str] | None,
 ) -> dict[str, np.ndarray]:
-    """Exact per-chain log-weights implied by the sampled majority labels.
+    """Exact per-chain log-weights implied by each prompt's majority label.
 
     The vote fixes the pseudo-label; the reward of *any* chain is then its
     answer class's indicator against that label, so the tabular update can
@@ -286,7 +283,7 @@ def _chain_log_weights(
     weigh = _log_weigher(space, transform, round_index, prev_majority)
     classes = space._vote_tables()[0]
     rows = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
-    winner = np.array([space.class_of(x, dataset.records[x].majority) for x in space.prompts])
+    winner = np.array([space.class_of(x, majority[x]) for x in space.prompts])
     flat = weigh(rows, classes, (classes == winner[rows]).astype(int))
     flat.flags.writeable = False
     bounds = space._bounds
@@ -367,11 +364,12 @@ def run(
             prev_majority=prev_majority,
         )
         result.datasets.append(dataset)
+        majority = {x: rec.majority for x, rec in dataset.records.items()}
 
         degenerate: list[str] = []
         solver: dict[str, float] = {}
         if config.backend == "tabular":
-            log_w = _chain_log_weights(prompts, dataset, transform, m, prev_majority)
+            log_w = _chain_log_weights(prompts, majority, transform, m, prev_majority)
             result.weight_history.append(log_w)
             policy, degenerate, objective = _update_tabular(policy, log_w)
         else:
@@ -394,7 +392,7 @@ def run(
         report.solver = solver
         result.reports.append(report)
         checkpoint(m, policy, dataset)
-        prev_majority = {x: rec.majority for x, rec in dataset.records.items()}
+        prev_majority = majority
 
         train_acc = report.majk_acc.get("train", 0.0)
         if train_acc > best_trained_acc:

@@ -7,42 +7,39 @@ The KL-regularized optimum under policy-dependent majority rewards solves
 where reward(c; pi) = 1 iff c's answer class is the majority under pi.
 kl_fixed_point iterates this tilt, recomputing rewards from the current
 policy each round (the rewards are non-stationary), and reports a residual
-against the equation itself rather than iteration deltas.
+against the equation itself rather than iteration deltas. Population labels
+are the space's answer classes of largest marginal mass; sampled labels are
+the majorities of a training round's vote.
 
 check_fixed_point_equivalence runs the fixed-point iteration next to the
-offline weighted-MLE loop equipped with the baseline-shifted exponential
-transform and measures the distance between the two solutions; the two
-procedures telescope to the same update, so converged instances must agree
-to floating-point accuracy.
+offline loop, which replays the engine's own tabular round rule
+(`engine._chain_log_weights` with the baseline-shifted transform, then the
+closed-form update), and measures the distance between the two solutions;
+the two procedures telescope to the same update, so converged instances
+must agree to floating-point accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from .answers import equivalent
+from .engine import _chain_log_weights, generate_round
 from .optim import closed_form_update
 from .policy import TabularPolicy
-from .rewards import class_key, equivalence_classes
-from .util import row_sums, substream, substream_random
+from .rewards import RewardTransform
+from .util import row_sums, substream
 
 __all__ = [
     "FixedPointConfig",
     "KLSolution",
     "FixedPointTrace",
     "EquivalenceReport",
-    "population_majority",
-    "population_reward",
     "population_tie_stream",
     "kl_fixed_point",
     "check_fixed_point_equivalence",
 ]
-
-EquivFn = Callable[[str, str], bool]
 
 
 @dataclass(frozen=True)
@@ -81,101 +78,50 @@ def population_tie_stream(seed: int, iteration: int, prompt: str) -> np.random.G
     return substream(seed, "pop-tie", iteration, prompt)
 
 
-def population_majority(
-    policy: TabularPolicy,
-    prompt: str,
-    equiv: EquivFn = equivalent,
-    rng: np.random.Generator | None = None,
-) -> tuple[str, frozenset[str]]:
-    """Answer class with the largest marginal probability under the policy.
-
-    Returns (canonical class key, member answer strings). Ties draw
-    uniformly over the tied classes when rng is given, else take the
-    lexicographically least key.
-    """
-    return _pick(_population_tied(policy, prompt, equiv), rng)
-
-
-def _population_tied(
-    policy: TabularPolicy, prompt: str, equiv: EquivFn
-) -> list[tuple[str, frozenset[str]]]:
-    """(class key, members) of the classes of largest marginal mass, by key."""
-    marginal = policy.answer_marginal(prompt)
-    strings = list(marginal)
-    classes = equivalence_classes(strings, equiv)
-    scored = sorted(
-        (class_key(strings, members), frozenset(strings[i] for i in members))
-        for members in classes
-    )
-    masses = [sum(marginal[s] for s in members) for _, members in scored]
-    best = max(masses)
-    return [entry for entry, mass in zip(scored, masses) if mass == best]
-
-
-def _pick(tied: list, rng: np.random.Generator | None):
-    if len(tied) == 1 or rng is None:
-        return tied[0]
-    return tied[int(rng.integers(len(tied)))]
-
-
-def population_reward(
-    policy: TabularPolicy,
-    prompt: str,
-    equiv: EquivFn = equivalent,
-    rng: np.random.Generator | None = None,
-) -> dict[str, int]:
-    """Per-chain indicator of membership in the argmax answer class."""
-    _, members = population_majority(policy, prompt, equiv, rng)
-    return {
-        chain: 1 if policy.space.answer_of(prompt, chain) in members else 0
-        for chain in policy.space.chains(prompt)
-    }
-
-
-def _rewards_at(
+def _labels_at(
     policy: TabularPolicy,
     iteration: int,
     seed: int,
     mode: str,
     k: int | None,
-) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Rewards for every (prompt, chain) plus the majority label per prompt.
+) -> dict[str, str]:
+    """Majority label of every prompt under the policy at one iteration.
 
-    population mode: the label is the argmax answer class of the marginal.
-    sampled mode: the label is the majority class of k draws from the
-    policy, voted like a training round (over the space's class ids, with
-    the "tie" stream).
+    population mode: the key of the space's answer class of largest
+    marginal mass (the k -> infinity vote); an exact tie draws over the tied
+    class keys, sorted, from the "pop-tie" stream, built only on a tie.
+    sampled mode: the majorities of a training round's vote, i.e. of
+    generate_round at round `iteration`.
     """
     space = policy.space
-    rewards: dict[str, np.ndarray] = {}
-    labels: dict[str, str] = {}
     if mode != "population":
-        order = space.prompts
-        draws = policy.sample_batch(
-            order, substream_random(seed, [("fp-gen", iteration, x) for x in order], k)
-        )
-        _, winner, majority = space._vote(
-            space._offsets[:-1, None] + draws,
-            lambda r: partial(substream, seed, "tie", iteration, order[r]),
-        )
-        for prompt, cid, best in zip(order, winner.tolist(), majority.tolist()):
-            rewards[prompt] = (space.answer_classes(prompt) == cid).astype(float)
-            labels[prompt] = space._pairs[best][1]
-        return rewards, labels
+        dataset = generate_round(policy, space, k, seed, round_index=iteration)
+        return {x: rec.majority for x, rec in dataset.records.items()}
+    labels = {}
     for prompt in space.prompts:
-        # The "pop-tie" stream is built only for an exact marginal tie.
-        tied = _population_tied(policy, prompt, equivalent)
-        rng = population_tie_stream(seed, iteration, prompt) if len(tied) > 1 else None
-        label, members = _pick(tied, rng)
-        rewards[prompt] = np.array([1.0 if a in members else 0.0 for a in space.answers(prompt)])
+        lookup = space._class_table(prompt)[1]
+        mass: dict[int, float] = {}
+        keys: dict[int, str] = {}
+        # Class masses are summed in the answers' first-appearance order.
+        for answer, p in policy.answer_marginal(prompt).items():
+            cid = lookup[answer]
+            mass[cid] = mass.get(cid, 0.0) + p
+            keys[cid] = min(keys.get(cid, answer), answer)
+        best = max(mass.values())
+        tied = sorted(keys[cid] for cid, m in mass.items() if m == best)
+        label = tied[0]
+        if len(tied) > 1:
+            label = tied[int(population_tie_stream(seed, iteration, prompt).integers(len(tied)))]
         labels[prompt] = label
-    return rewards, labels
+    return labels
 
 
-def _tilt_from_base(
-    pi0: TabularPolicy, rewards: dict[str, np.ndarray], beta: float
-) -> TabularPolicy:
-    log_w = {prompt: row / beta for prompt, row in rewards.items()}
+def _tilt_from_base(pi0: TabularPolicy, labels: dict[str, str], beta: float) -> TabularPolicy:
+    """normalize(exp(1[answer class = label] / beta) * pi0) on every prompt."""
+    space = pi0.space
+    log_w = {
+        x: (space.answer_classes(x) == space.class_of(x, labels[x])) / beta for x in space.prompts
+    }
     return closed_form_update(pi0, log_w, log=True)
 
 
@@ -207,20 +153,20 @@ def kl_fixed_point(
         raise ValueError("sampled mode needs k >= 1")
 
     trace = FixedPointTrace()
-    rewards, labels_prev = _rewards_at(pi0, 1, seed, mode, k)
+    labels_prev = _labels_at(pi0, 1, seed, mode, k)
     policy = pi0
     residual = float("inf")
     for m in range(1, config.max_rounds + 1):
-        policy = _tilt_from_base(pi0, rewards, beta)
-        next_rewards, labels_new = _rewards_at(policy, m + 1, seed, mode, k)
-        residual = _max_dev(policy, _tilt_from_base(pi0, next_rewards, beta))
+        policy = _tilt_from_base(pi0, labels_prev, beta)
+        labels_new = _labels_at(policy, m + 1, seed, mode, k)
+        residual = _max_dev(policy, _tilt_from_base(pi0, labels_new, beta))
         trace.policies.append(policy)
-        trace.majorities.append(dict(labels_new))
+        trace.majorities.append(labels_new)
         trace.residuals.append(residual)
         if residual <= config.tolerance and labels_new == labels_prev:
             trace.converged = True
             break
-        rewards, labels_prev = next_rewards, labels_new
+        labels_prev = labels_new
     return KLSolution(policy=policy, residual=residual, beta=beta), trace
 
 
@@ -240,10 +186,38 @@ class EquivalenceReport:
         return self.converged_fixed_point and self.converged_offline
 
 
+def _offline_loop(
+    pi0: TabularPolicy,
+    beta: float,
+    config: FixedPointConfig,
+    seed: int,
+    mode: str,
+    k: int | None,
+) -> tuple[TabularPolicy, dict[str, str], bool, int]:
+    """The offline side: the engine's tabular round rule under the
+    baseline-shifted transform, with each round's labels from _labels_at,
+    until the policy stops moving and the labels repeat.
+
+    Returns (policy, last labels, converged, rounds run).
+    """
+    transform = RewardTransform("baseline_shifted", beta)
+    policy = pi0
+    labels_prev: dict[str, str] | None = None
+    for m in range(1, config.max_rounds + 1):
+        labels = _labels_at(policy, m, seed, mode, k)
+        log_w = _chain_log_weights(pi0.space, labels, transform, m, labels_prev)
+        new_policy = closed_form_update(policy, log_w, log=True)
+        delta = _max_dev(new_policy, policy)
+        stable = labels == labels_prev
+        policy, labels_prev = new_policy, labels
+        if delta <= config.tolerance and stable:
+            return policy, labels, True, m
+    return policy, labels_prev, False, config.max_rounds
+
+
 def check_fixed_point_equivalence(
     pi0: TabularPolicy,
     beta: float,
-    rounds: int = 50,
     config: FixedPointConfig | None = None,
     seed: int = 0,
     mode: str = "population",
@@ -251,47 +225,23 @@ def check_fixed_point_equivalence(
 ) -> EquivalenceReport:
     """Compare kl_fixed_point against the baseline-shifted offline loop.
 
-    Both sides see identical tie-break streams (keyed on prompt and
-    iteration), so on converged instances the final policies must agree up
-    to floating-point error; the report carries the max total-variation
-    distance over prompts.
+    Both sides run for at most config.max_rounds and see identical
+    tie-break streams (keyed on prompt and iteration), so on converged
+    instances the final policies must agree up to floating-point error; the
+    report carries the max total-variation distance over prompts.
     """
     config = config or FixedPointConfig()
-    config = FixedPointConfig(tolerance=config.tolerance, max_rounds=rounds)
     solution, trace = kl_fixed_point(pi0, beta, config, mode, k, seed)
-
-    # Offline side: closed-form weighted-MLE updates with weights
-    # exp((reward - previous_reward)/beta); previous_reward is 0 in round 1.
-    policy = pi0
-    prev_rewards: dict[str, np.ndarray] | None = None
-    labels_prev: dict[str, str] | None = None
-    converged_b = False
-    iters_b = 0
-    for m in range(1, rounds + 1):
-        rewards, labels = _rewards_at(policy, m, seed, mode, k)
-        log_w = {}
-        for prompt, row in rewards.items():
-            base = prev_rewards[prompt] if prev_rewards is not None else 0.0
-            log_w[prompt] = (row - base) / beta
-        new_policy = closed_form_update(policy, log_w, log=True)
-        delta = _max_dev(new_policy, policy)
-        iters_b = m
-        stable = labels_prev is not None and labels == labels_prev
-        policy = new_policy
-        prev_rewards, labels_prev = rewards, labels
-        if delta <= config.tolerance and stable:
-            converged_b = True
-            break
+    policy, labels, converged, rounds = _offline_loop(pi0, beta, config, seed, mode, k)
 
     # Total variation of every prompt: half the row sum of |difference|.
     gap = np.abs(solution.policy._probs - policy._probs)
     per_prompt = 0.5 * row_sums(gap, pi0.space._offsets)
-    labels_a = trace.majorities[-1] if trace.majorities else {}
     return EquivalenceReport(
         distance=float(per_prompt.max()),
-        labels_match=labels_a == (labels_prev or {}),
+        labels_match=trace.majorities[-1] == labels,
         converged_fixed_point=trace.converged,
-        converged_offline=converged_b,
+        converged_offline=converged,
         iterations_fixed_point=trace.iterations,
-        iterations_offline=iters_b,
+        iterations_offline=rounds,
     )

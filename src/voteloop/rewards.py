@@ -31,10 +31,6 @@ from .util import substream
 __all__ = [
     "CandidateSet",
     "RewardTransform",
-    "identity_transform",
-    "exponential_transform",
-    "baseline_shifted_transform",
-    "apply_transform",
     "log_transform",
     "equivalence_classes",
     "class_key",
@@ -72,18 +68,6 @@ class RewardTransform:
             raise ValueError(f"{self.kind} transform requires beta > 0")
 
 
-def identity_transform() -> RewardTransform:
-    return RewardTransform("identity")
-
-
-def exponential_transform(beta: float) -> RewardTransform:
-    return RewardTransform("exponential", beta)
-
-
-def baseline_shifted_transform(beta: float) -> RewardTransform:
-    return RewardTransform("baseline_shifted", beta)
-
-
 def _baseline(prev_reward: float | None, round_index: int) -> float:
     # The baseline is the reward under the policy of the previous round;
     # no previous round exists at round 1, so the baseline starts at 0.
@@ -111,18 +95,6 @@ def log_transform(
         return reward / transform.beta
     base = _baseline(prev_reward, round_index)
     return (reward - base) / transform.beta
-
-
-def apply_transform(
-    transform: RewardTransform,
-    reward: float,
-    prev_reward: float | None = None,
-    round_index: int = 1,
-) -> float:
-    """Transformed reward as a linear-space weight (see log_transform)."""
-    if transform.kind == "identity":
-        return float(reward)
-    return math.exp(log_transform(transform, reward, prev_reward, round_index))
 
 
 def equivalence_classes(answers: Sequence[str], equiv: EquivFn = equivalent) -> list[list[int]]:

@@ -199,7 +199,8 @@ class TestTabularUpdate:
         config = RunConfig(k=15, rounds=1, seed=7)
         result = run(config, corpus.space, corpus.base, hook)
         ds = result.datasets[0]
-        log_w = _chain_log_weights(corpus.space, ds, RewardTransform("identity"), 1, None)
+        majority = {x: rec.majority for x, rec in ds.records.items()}
+        log_w = _chain_log_weights(corpus.space, majority, RewardTransform("identity"), 1, None)
         expected, frozen, _ = _update_tabular(corpus.base, log_w)
         assert not frozen
         for x in corpus.space.prompts:

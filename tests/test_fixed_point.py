@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import voteloop.fixed_point as fixed_point
+from voteloop.engine import RunConfig, run
 from voteloop.fixed_point import (
     FixedPointConfig,
+    _labels_at,
     check_fixed_point_equivalence,
     kl_fixed_point,
-    population_majority,
-    population_reward,
     population_tie_stream,
 )
+from voteloop.metrics import RoundReport
 from voteloop.policy import PromptSpace, TabularPolicy
 from voteloop.util import total_variation
 
@@ -37,22 +38,37 @@ def random_instance(rng, max_prompts=6, max_chains=6):
     return pi0
 
 
+def population_label(policy, prompt, seed=0, iteration=1):
+    return _labels_at(policy, iteration, seed, "population", None)[prompt]
+
+
+def rewarded(policy, prompt, label):
+    """Per-chain membership of the label's answer class."""
+    space = policy.space
+    return (space.answer_classes(prompt) == space.class_of(prompt, label)).tolist()
+
+
 class TestPopulationReward:
     def test_argmax_class_gets_one(self):
         policy = TabularPolicy(marginal_space(), {"p": (0.35, 0.35, 0.3)})
-        assert population_reward(policy, "p") == {"c0": 1, "c1": 1, "c2": 0}
+        label = population_label(policy, "p")
+        assert label == "4"
+        assert rewarded(policy, "p", label) == [True, True, False]
 
     def test_deterministic_policy(self):
         policy = TabularPolicy(marginal_space(), {"p": (0.0, 0.0, 1.0)})
-        assert population_reward(policy, "p") == {"c0": 0, "c1": 0, "c2": 1}
+        label = population_label(policy, "p")
+        assert label == "5"
+        assert rewarded(policy, "p", label) == [False, False, True]
 
     def test_tie_uses_seeded_stream_consistently(self):
         space = PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "a", "c1": "b"}})
         policy = TabularPolicy(space, {"p": (0.5, 0.5)})
-        label, _ = population_majority(policy, "p", rng=population_tie_stream(0, 1, "p"))
+        label = population_label(policy, "p")
         assert label in {"a", "b"}
-        again, _ = population_majority(policy, "p", rng=population_tie_stream(0, 1, "p"))
-        assert again == label
+        assert population_label(policy, "p") == label
+        # The draw is over the tied class keys, sorted.
+        assert label == ["a", "b"][int(population_tie_stream(0, 1, "p").integers(2))]
 
     def test_equivalent_strings_pool_their_mass(self):
         space = PromptSpace(
@@ -60,9 +76,11 @@ class TestPopulationReward:
             {"p": {"c0": "0.5", "c1": "\\frac{1}{2}", "c2": "3"}},
         )
         policy = TabularPolicy(space, {"p": (0.3, 0.3, 0.4)})
-        # 0.5-class mass 0.6 beats the 0.4 of "3" once surface forms merge.
-        assert population_reward(policy, "p") == {"c0": 1, "c1": 1, "c2": 0}
-
+        # 0.5-class mass 0.6 beats the 0.4 of "3" once surface forms merge;
+        # the label is the class's least member.
+        label = population_label(policy, "p")
+        assert label == "0.5"
+        assert rewarded(policy, "p", label) == [True, True, False]
 
     def test_tie_stream_built_only_for_marginal_ties(self, monkeypatch):
         scopes = []
@@ -76,12 +94,12 @@ class TestPopulationReward:
             {f"p{i}": {"c0": "a", "c1": "b"} for i in range(len(masses))},
         )
         policy = TabularPolicy(space, {f"p{i}": m for i, m in enumerate(masses)})
-        rewards, labels = fixed_point._rewards_at(policy, 4, 9, "population", None)
+        labels = _labels_at(policy, 4, 9, "population", None)
         assert scopes == ["pop-tie", "pop-tie"]
-        for prompt in space.prompts:
+        for prompt in ("p0", "p3"):
             # Same label as drawing with an eagerly built stream.
-            rng = population_tie_stream(9, 4, prompt)
-            assert labels[prompt] == population_majority(policy, prompt, rng=rng)[0]
+            rng = real(9, "pop-tie", 4, prompt)
+            assert labels[prompt] == ["a", "b"][int(rng.integers(2))]
         assert [labels[f"p{i}"] for i in (1, 2, 4)] == ["a", "b", "b"]
 
 
@@ -144,16 +162,13 @@ class TestKLFixedPoint:
                 margin = marginal[0] - (marginal[1] if len(marginal) > 1 else 0.0)
                 if margin < 0.1:
                     continue
-                pop = population_reward(pi0, prompt)
                 _, trace = kl_fixed_point(
                     pi0, beta=0.1, mode="sampled", k=10_000, seed=idx,
                     config=FixedPointConfig(max_rounds=1),
                 )
                 label = trace.majorities[0][prompt]
-                pop_label, _ = population_majority(pi0, prompt)
                 total += 1
-                agree += label == pop_label
-                del pop
+                agree += label == population_label(pi0, prompt)
         assert total >= 25
         assert agree / total >= 0.99
 
@@ -194,3 +209,26 @@ class TestEquivalenceCheck:
                 assert report.distance <= 1e-6
                 assert report.labels_match
         assert converged >= 20
+
+
+class TestOfflineLoopIsTheEngine:
+    def test_sampled_offline_policy_equals_engine_run(self):
+        # Sampled mode draws and votes like training rounds, so the offline
+        # side must be engine.run's tabular baseline-shifted loop, bit for bit.
+        rng = np.random.default_rng(13)
+        longest = 0
+        for idx in range(12):
+            pi0 = random_instance(rng)
+            beta, k, rounds = [0.1, 1.0][idx % 2], [3, 5][idx % 2], 4
+            policy, labels, _, ran = fixed_point._offline_loop(
+                pi0, beta, FixedPointConfig(max_rounds=rounds), idx, "sampled", k
+            )
+            config = RunConfig(
+                k=k, rounds=ran, patience=ran, transform="baseline_shifted", beta=beta, seed=idx
+            )
+            result = run(config, pi0.space, pi0, lambda m, policy, *rest: RoundReport(m))
+            assert len(result.policies) == ran + 1
+            assert np.array_equal(policy._probs, result.final_policy._probs)
+            assert labels == {x: rec.majority for x, rec in result.datasets[-1].records.items()}
+            longest = max(longest, ran)
+        assert longest >= 3  # some instance must change its label after round 2

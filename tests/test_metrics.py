@@ -1,6 +1,8 @@
 """maj@k measurement and metrics file round trips."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +124,69 @@ class TestMajAtK:
             maj_at_k(policy, space.prompts, 0, truth_for(space), seed=0)
         with pytest.raises(ValueError):
             maj_at_k(policy, space.prompts, 1, truth_for(space), seed=0, eval_samples=0)
+
+
+def exact_win_probability(class_probs, truth_class, k):
+    """P(truth_class wins a vote over k i.i.d. draws from class_probs),
+    summed over every class-count vector; a tie among t classes at the top
+    count goes to each of them with probability 1/t."""
+    total = 0.0
+    for counts in itertools.product(range(k + 1), repeat=len(class_probs)):
+        if sum(counts) != k:
+            continue
+        prob = float(math.factorial(k))
+        for n, p in zip(counts, class_probs):
+            prob *= p**n / math.factorial(n)
+        top = max(counts)
+        if counts[truth_class] == top:
+            total += prob / counts.count(top)
+    return total
+
+
+class TestMajAtKExactOracle:
+    # Hoeffding: the mean of N independent hits in [0, 1] lies within
+    # sqrt(ln(2 / DELTA) / (2 N)) of its expectation with probability at
+    # least 1 - DELTA.
+    DELTA = 1e-6
+
+    def test_exact_oracle_on_hand_cases(self):
+        assert exact_win_probability([0.5, 0.5], 0, 2) == 0.5  # 0.25 + 0.5 / 2
+        assert exact_win_probability([0.2, 0.3, 0.5], 1, 1) == pytest.approx(0.3, abs=1e-15)
+        assert exact_win_probability([0.6, 0.4], 0, 9) == pytest.approx(
+            float(stats.binom.sf(4, 9, 0.6)), abs=1e-12
+        )
+
+    def test_sampled_maj_at_k_is_within_hoeffding_of_exact(self):
+        # Up to four answer classes per prompt, two surface forms merged in
+        # each of "a" and "b"; even k makes ties common.
+        space = PromptSpace(
+            {"a": ("c0", "c1", "c2", "c3", "c4"), "b": ("c0", "c1", "c2", "c3"), "c": ("c0", "c1", "c2")},
+            {
+                "a": {"c0": "1", "c1": "1.0", "c2": "2", "c3": "3", "c4": "\\frac{8}{2}"},
+                "b": {"c0": "7", "c1": "0.5", "c2": "1/2", "c3": "9"},
+                "c": {"c0": "x", "c1": "y", "c2": "z"},
+            },
+        )
+        policy = TabularPolicy(
+            space,
+            {"a": (0.2, 0.15, 0.3, 0.2, 0.15), "b": (0.25, 0.25, 0.25, 0.25), "c": (0.5, 0.3, 0.2)},
+        )
+        truth = {"a": "1", "b": "7", "c": "y"}
+        repeats = 3000
+        bound = math.sqrt(math.log(2 / self.DELTA) / (2 * repeats * len(space.prompts)))
+        for k in (1, 2, 3, 4, 6, 9):
+            exact = np.mean(
+                [
+                    exact_win_probability(
+                        np.bincount(space.answer_classes(x), weights=policy.distribution(x)),
+                        space.class_of(x, truth[x]),
+                        k,
+                    )
+                    for x in space.prompts
+                ]
+            )
+            got = maj_at_k(policy, space.prompts, k, truth, seed=k, eval_samples=repeats)
+            assert abs(got - exact) <= bound, (k, got, exact, bound)
 
 
 def sample_reports():

@@ -13,10 +13,6 @@ from voteloop.policy import PromptSpace
 from voteloop.rewards import (
     CandidateSet,
     RewardTransform,
-    apply_transform,
-    baseline_shifted_transform,
-    exponential_transform,
-    identity_transform,
     log_transform,
     majority_vote,
     score_candidates,
@@ -115,50 +111,55 @@ class TestScoreCandidates:
             CandidateSet("p", (("c0", "a"),), "a", (1, 0))
 
 
+def weight(transform, reward, prev_reward=None, round_index=1):
+    """The transformed reward as a linear-space weight."""
+    return math.exp(log_transform(transform, reward, prev_reward, round_index))
+
+
 class TestTransforms:
     def test_identity(self):
-        t = identity_transform()
-        assert apply_transform(t, 1) == 1.0
-        assert apply_transform(t, 0) == 0.0
+        t = RewardTransform("identity")
+        assert weight(t, 1) == 1.0
+        assert weight(t, 0) == 0.0
         assert log_transform(t, 0) == -math.inf
 
     def test_exponential_beta_point_one(self):
-        t = exponential_transform(0.1)
-        assert apply_transform(t, 1) == pytest.approx(22026.465794806718, rel=1e-12)
-        assert apply_transform(t, 0) == 1.0
+        t = RewardTransform("exponential", 0.1)
+        assert weight(t, 1) == pytest.approx(22026.465794806718, rel=1e-12)
+        assert weight(t, 0) == 1.0
 
     def test_baseline_cancellation(self):
-        t = baseline_shifted_transform(0.1)
-        assert apply_transform(t, 1, prev_reward=1, round_index=5) == 1.0
-        assert apply_transform(t, 1, prev_reward=0, round_index=5) == pytest.approx(
+        t = RewardTransform("baseline_shifted", 0.1)
+        assert weight(t, 1, prev_reward=1, round_index=5) == 1.0
+        assert weight(t, 1, prev_reward=0, round_index=5) == pytest.approx(
             math.exp(10), rel=1e-12
         )
-        assert apply_transform(t, 0, prev_reward=1, round_index=5) == pytest.approx(
+        assert weight(t, 0, prev_reward=1, round_index=5) == pytest.approx(
             math.exp(-10), rel=1e-12
         )
 
     def test_baseline_is_zero_in_round_one(self):
-        t = baseline_shifted_transform(0.5)
-        assert apply_transform(t, 1, round_index=1) == pytest.approx(math.exp(2), rel=1e-12)
+        t = RewardTransform("baseline_shifted", 0.5)
+        assert weight(t, 1, round_index=1) == pytest.approx(math.exp(2), rel=1e-12)
 
     def test_baseline_requires_prev_reward_after_round_one(self):
-        t = baseline_shifted_transform(0.1)
+        t = RewardTransform("baseline_shifted", 0.1)
         with pytest.raises(ValueError):
-            apply_transform(t, 1, round_index=2)
+            weight(t, 1, round_index=2)
 
     def test_monotone_in_reward(self):
         transforms = [
-            identity_transform(),
-            exponential_transform(0.05),
-            exponential_transform(1.0),
-            baseline_shifted_transform(0.1),
+            RewardTransform("identity"),
+            RewardTransform("exponential", 0.05),
+            RewardTransform("exponential", 1.0),
+            RewardTransform("baseline_shifted", 0.1),
         ]
         for t in transforms:
             kwargs = {"prev_reward": 0, "round_index": 3} if t.kind == "baseline_shifted" else {}
-            assert apply_transform(t, 1, **kwargs) >= apply_transform(t, 0, **kwargs)
+            assert weight(t, 1, **kwargs) >= weight(t, 0, **kwargs)
 
     def test_no_overflow_down_to_beta_001(self):
-        w = apply_transform(exponential_transform(0.01), 1)
+        w = weight(RewardTransform("exponential", 0.01), 1)
         assert math.isfinite(w) and w == pytest.approx(math.exp(100), rel=1e-12)
 
     def test_validation(self):
