@@ -198,14 +198,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_usage_problem(args: argparse.Namespace) -> str | None:
+    if args.count is not None and (args.count < 1 or args.suite == "votes"):
+        return "--count must be >= 1, and the votes suite takes none"
+    if args.fuzz is not None and (args.fuzz < 0 or args.suite != "answers"):
+        return "--fuzz must be >= 0, and only the answers suite takes it"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite_fn = SUITES[args.suite]
-    kwargs = {"seed": args.seed}
-    if args.count is not None and args.suite != "votes":
-        kwargs["count"] = args.count
-    if args.fuzz is not None and args.suite == "answers":
-        kwargs["fuzz"] = args.fuzz
-    result = suite_fn(**kwargs)
+    problem = _verify_usage_problem(args)
+    if problem is not None:
+        print(f"usage error: {problem}", file=sys.stderr)
+        return USAGE_ERROR
+    options = {"seed": args.seed, "count": args.count, "fuzz": args.fuzz}
+    result = SUITES[args.suite](**{k: v for k, v in options.items() if v is not None})
 
     lines = []
     for inst in result.instances:

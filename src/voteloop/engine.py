@@ -17,7 +17,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -90,10 +91,10 @@ class PromptRecord:
     majority: str
 
 
-def _json_log_weight(lw: float) -> str:
-    if type(lw) is float and math.isfinite(lw):
-        return float.__repr__(lw)
-    return "null" if lw == -math.inf else json.dumps(lw)
+@lru_cache(maxsize=1 << 16)
+def _pair_text(pair: tuple[str, str]) -> str:
+    chain_id, answer = pair
+    return f', "chain": {_json_str(chain_id)}, "answer": {_json_str(answer)}, "reward": '
 
 
 @dataclass
@@ -115,19 +116,30 @@ class OfflineDataset:
     def save(self, path) -> None:
         """One JSON object per candidate, in the bytes `json.dumps` writes
         for {round, prompt, candidate, chain, answer, reward, log_weight}
-        (a -inf log-weight as null); one prompt's rows per write."""
+        (a -inf log-weight as null; log-weights are written as floats).
+        Rows are joined from text pieces, 64 prompts per write;
+        a log-weight's text is made once per float bit pattern."""
+        items = list(self.records.items())
+        head = f'{{"round": {self.round_index}, "prompt": '
+        weight_text: dict[int, str] = {}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for prompt, rec in self.records.items():
-                head = f'{{"round": {self.round_index}, "prompt": {_json_str(prompt)}, "candidate": '
-                fh.write(
-                    "".join(
-                        f'{head}{idx}, "chain": {_json_str(chain)}, "answer": {_json_str(answer)}, '
-                        f'"reward": {reward}, "log_weight": {_json_log_weight(lw)}}}\n'
-                        for idx, ((chain, answer), reward, lw) in enumerate(
-                            zip(rec.candidates, rec.rewards, rec.log_weights)
-                        )
-                    )
-                )
+            for lo in range(0, len(items), 64):
+                prompts, chunk = zip(*items[lo : lo + 64])
+                sizes = [len(rec.candidates) for rec in chunk]
+                heads = np.array([f'{head}{_json_str(x)}, "candidate": ' for x in prompts], object)
+                index = np.arange(sum(sizes)) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+                numbers = np.array([*map(str, range(max(sizes)))], object)
+                rows = np.repeat(heads, sizes) + numbers[index]
+                pairs = map(_pair_text, chain.from_iterable(rec.candidates for rec in chunk))
+                rewards = map(str, chain.from_iterable(rec.rewards for rec in chunk))
+                weights = chain.from_iterable(rec.log_weights for rec in chunk)
+                codes = np.fromiter(weights, float, len(index)).view(np.uint64).tolist()
+                for code in set(codes).difference(weight_text):
+                    lw = float(np.array(code, dtype=np.uint64).view(float))
+                    text = "null" if lw == -math.inf else json.dumps(lw)
+                    weight_text[code] = f', "log_weight": {text}}}\n'
+                tails = map(weight_text.get, codes)
+                fh.write("".join(map("".join, zip(rows, pairs, rewards, tails))))
 
     @classmethod
     def load(cls, path) -> "OfflineDataset":

@@ -49,6 +49,39 @@ class RoundReport:
     solver: dict[str, float] = field(default_factory=dict)
 
 
+def _vote_hits(policy, prompts, k, truth_class, seed, eval_samples, round_index):
+    """Whether the first draw and the k-vote of each (repeat, prompt) hit
+    the truth class: two [eval_samples, len(prompts)] bool arrays. Each
+    (round, repeat, prompt) has its own substream; all are drawn and voted
+    in one batch, and only tied votes build an "eval-tie" stream. A stream's
+    first draw is its k = 1 draw, and one draw never ties: column 0 is maj@1.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if eval_samples < 1:
+        raise ValueError("eval_samples must be >= 1")
+    space = policy.space
+    n = len(prompts)
+    uniforms = substream_random(
+        seed, [("eval", round_index, rep, x) for rep in range(eval_samples) for x in prompts], k
+    )
+    starts = np.tile(space._offsets[space._rows(prompts)], eval_samples)
+    picks = starts[:, None] + policy.sample_batch(list(prompts) * eval_samples, uniforms)
+    classes, winner, _ = space._vote(
+        picks,
+        lambda r: partial(substream, seed, f"eval-tie:{r // n}", round_index, prompts[r % n]),
+    )
+    truth = np.tile(truth_class, eval_samples)
+    shape = (eval_samples, n)
+    return (classes[:, 0] == truth).reshape(shape), (winner == truth).reshape(shape)
+
+
+def _accuracy(hits: np.ndarray) -> float:
+    """Mean over prompts (columns) of the hit rate over repeats (rows)."""
+    scores = (hits.sum(axis=0) / len(hits)).tolist()
+    return float(sum(scores) / len(scores))
+
+
 def maj_at_k(
     policy,
     prompts: Sequence[str],
@@ -62,29 +95,12 @@ def maj_at_k(
     """Mean over prompts of 1[majority of k samples is the true answer].
 
     eval_samples repeats the k-draw and averages, trading eval cost for a
-    tighter estimate; every (round, repeat, prompt) triple has its own
-    substream, and all of them are drawn and voted in one batch (only
-    tied votes build an "eval-tie" stream).
+    tighter estimate (see `_vote_hits` for the streams).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if eval_samples < 1:
-        raise ValueError("eval_samples must be >= 1")
     space = policy.space
-    n = len(prompts)
-    uniforms = substream_random(
-        seed, [("eval", round_index, rep, x) for rep in range(eval_samples) for x in prompts], k
-    )
-    starts = np.tile(space._offsets[space._rows(prompts)], eval_samples)
-    picks = starts[:, None] + policy.sample_batch(list(prompts) * eval_samples, uniforms)
-    _, winner, _ = space._vote(
-        picks,
-        lambda r: partial(substream, seed, f"eval-tie:{r // n}", round_index, prompts[r % n]),
-    )
     truth_class = np.array([space.class_of(x, truth[x]) for x in prompts], dtype=np.intp)
-    hits = (winner.reshape(eval_samples, n) == truth_class).sum(axis=0)
-    scores = (hits / eval_samples).tolist()
-    return float(sum(scores) / len(scores))
+    _, hits = _vote_hits(policy, prompts, k, truth_class, seed, eval_samples, round_index)
+    return _accuracy(hits)
 
 
 def make_eval_hook(
@@ -98,19 +114,25 @@ def make_eval_hook(
     """Build the per-round measurement callback used by the training loop.
 
     The hook is the only place ground-truth labels enter a run; the update
-    path never sees them.
+    path never sees them. One draw per round over all splits gives each
+    split's maj@1 and maj@k, equal to `maj_at_k` at 1 and at k draws.
     """
+    order = [x for prompts in splits.values() for x in prompts]
+    bounds = np.cumsum([0] + [len(prompts) for prompts in splits.values()]).tolist()
+    space = truth_class = None
 
     def hook(round_index: int, policy, objective: float = 0.0, degenerate: int = 0) -> RoundReport:
+        nonlocal space, truth_class
         report = RoundReport(
             round_index=round_index, objective=objective, degenerate_prompts=degenerate
         )
-        for split, prompts in splits.items():
-            for acc, draws in ((report.maj1_acc, 1), (report.majk_acc, k)):
-                acc[split] = maj_at_k(
-                    policy, prompts, draws, truth, seed,
-                    eval_samples=eval_samples, round_index=round_index,
-                )
+        if policy.space is not space:
+            space = policy.space
+            truth_class = np.array([space.class_of(x, truth[x]) for x in order], dtype=np.intp)
+        hits1, hitsk = _vote_hits(policy, order, k, truth_class, seed, eval_samples, round_index)
+        for (split, prompts), lo, hi in zip(splits.items(), bounds, bounds[1:]):
+            report.maj1_acc[split] = _accuracy(hits1[:, lo:hi])
+            report.majk_acc[split] = _accuracy(hitsk[:, lo:hi])
             report.mean_entropy[split] = policy.mean_entropy(prompts)
         return report
 

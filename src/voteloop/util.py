@@ -4,6 +4,9 @@ over flat per-chain arrays."""
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
+from itertools import accumulate
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +34,7 @@ def substream(seed: int, *tags: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-# SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx,
+# SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx,
 # numpy/random/src/pcg64/pcg64.h).
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -39,10 +42,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Rows of one substream_random block hold at most this many draws.
+_BLOCK = 1 << 15
 
 
 def _seed_sequence_states(words: np.ndarray) -> np.ndarray:
-    """`SeedSequence(row).generate_state(4, np.uint64)` for every row of an
+    """`SeedSequence(row).generate_state(8, np.uint32)` for every row of an
     [n, 4] uint32 entropy matrix, with numpy's hashmix/mix run column-wise."""
     hash_const = _INIT_A
 
@@ -70,36 +75,107 @@ def _seed_sequence_states(words: np.ndarray) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    return state
+
+
+@lru_cache(maxsize=8)
+def _jump_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """[4, count] 32-bit limbs (least significant first) of M**(t+1) and of
+    sum_{i<=t+1} M**i mod 2**128, t = 1..count, M the PCG64 multiplier.
+    PCG64 seeds its state as (seed + inc) * M + inc and steps state * M + inc
+    before each output, so output t reads the state M**(t+1) * seed +
+    (sum_{i<=t+1} M**i) * inc: an LCG jumps ahead in closed form (Brown 1994)."""
+    powers = [pow(_PCG_MULT, t + 1, 1 << 128) for t in range(1, count + 1)]
+    totals = list(accumulate(powers, lambda a, b: (a + b) & _MASK128, initial=1 + _PCG_MULT))[1:]
+    tables = [
+        np.array([[v >> s & _MASK32 for v in t] for s in (0, 32, 64, 96)], np.uint64)
+        for t in (powers, totals)
+    ]
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller through the cache
+    return tuple(tables)
+
+
+def _mul_add_128(acc: list, a: np.ndarray, b: np.ndarray) -> None:
+    """Add the limbs of a * b mod 2**128 (broadcasting [4, ...] limb arrays)
+    to the four accumulators (arrays, or 0), carries left unpropagated."""
+    for i in range(4):
+        for j in range(4 - i):
+            product = a[i] * b[j]
+            if i + j == 3:
+                acc[3] += product  # only the low 32 bits of limb 3 are read
+            else:
+                acc[i + j] += product & np.uint64(_MASK32)
+                acc[i + j + 1] += product >> np.uint64(32)
+
+
+def _address_digests(seed: int, addresses: Sequence[Sequence[object]]) -> bytes:
+    """The full SHA-256 digest of every address's bytes (as
+    `_address_digest` builds them), concatenated. The hash of an address's
+    prefix (all tags but the last) is copied for each following address
+    whose prefix tags are the same objects."""
+    seed_text = str(int(seed))
+    digests = []
+    append = digests.append
+    head, width, prefix = (), -1, None
+    for tags in addresses:
+        if len(tags) != width or not all(map(is_, tags, head)):
+            if not tags:
+                append(hashlib.sha256(seed_text.encode()).digest())
+                continue
+            head, width = tuple(tags[:-1]), len(tags)
+            prefix = hashlib.sha256(_SEP.join((seed_text, *map(str, head), "")).encode())
+        digest = prefix.copy()
+        digest.update(str(tags[-1]).encode())
+        append(digest.digest())
+    return b"".join(digests)
 
 
 def substream_random(seed: int, addresses: Sequence[Sequence[object]], count: int) -> np.ndarray:
     """Uniform draws for many stream addresses at once: row r equals
     `substream(seed, *addresses[r]).random(count)` bit for bit.
 
-    Each address is hashed as `substream` hashes it; numpy's SeedSequence
-    mixing then runs over all rows in one vectorized pass, each row's PCG64
-    state is seeded as `PCG64(SeedSequence)` seeds it, and one reused
-    generator fills the row.
+    Addresses are hashed as `substream` hashes them, and SeedSequence
+    mixing and PCG64 (a 128-bit LCG with an XSL-RR output, O'Neill 2014)
+    run as arrays of 32-bit limbs over blocks of at most `_BLOCK` draws:
+    output t's state comes from the jump-ahead tables, and the draw is
+    `(xsl_rr(state) >> 11) * 2**-53`, as `Generator.random` makes it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     out = np.empty((len(addresses), count))
-    digests = b"".join(_address_digest(seed, tags) for tags in addresses)
-    words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).astype(np.uint32)
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, _seed_sequence_states(words).tolist()):
-        # PCG64's srandom step: state = ((inc + seed) * MULT + inc) mod 2**128.
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.random(out=row)
+    powers, totals = _jump_tables(count)
+    mask = np.uint64(_MASK32)
+    step = max(1, _BLOCK // count)
+    for lo in range(0, len(addresses), step):
+        digests = _address_digests(seed, addresses[lo : lo + step])
+        words = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4].astype(np.uint32)
+        w = _seed_sequence_states(words).astype(np.uint64).T
+        # seed = (w0 + w1 2**32) 2**64 + w2 + w3 2**32; the increment is
+        # (w4 + w5 2**32) 2**65 + (w6 + w7 2**32) 2**1 + 1, mod 2**128.
+        seed_limbs = w[[2, 3, 0, 1]]
+        inc = w[[6, 7, 4, 5]] << np.uint64(1)
+        inc[1:] |= w[[6, 7, 4]] >> np.uint64(31)
+        inc[0] |= np.uint64(1)
+        inc &= mask
+        # The longer of rows and draws goes on the last axis (numpy's inner loop).
+        wide = count >= len(words)
+        rows_at, draws_at = np.s_[:, :, None], np.s_[:, None, :]
+        if not wide:
+            rows_at, draws_at = draws_at, rows_at
+        acc = [0] * 4
+        _mul_add_128(acc, seed_limbs[rows_at], powers[draws_at])
+        _mul_add_128(acc, inc[rows_at], totals[draws_at])
+        for i in range(3):
+            acc[i + 1] += acc[i] >> np.uint64(32)
+            acc[i] &= mask
+        # XSL-RR: rotate (high 64 bits ^ low 64 bits) right by the top 6
+        # bits; the shifts drop the bits of acc[3] above 32.
+        x = (acc[1] ^ acc[3]) << np.uint64(32) | (acc[0] ^ acc[2])
+        rot = (acc[3] >> np.uint64(26)) & np.uint64(63)
+        x = (x >> rot) | (x << (-rot & np.uint64(63)))
+        x >>= np.uint64(11)
+        np.multiply(x if wide else x.T, 1.0 / 9007199254740992.0, out=out[lo : lo + step])
     return out
 
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from voteloop import cli
 from voteloop.cli import main
 from voteloop.metrics import RoundReport, emit_metrics
 
@@ -113,6 +114,26 @@ class TestVerify:
         lines = [json.loads(ln) for ln in report.read_text().splitlines()]
         assert len(lines) == 5
         assert all({"suite", "instance", "pass", "beta", "distance"} <= set(rec) for rec in lines)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closedform", "--count", "0"],
+            ["closedform", "--count", "-3"],
+            ["votes", "--count", "5"],
+            ["proposition1", "--fuzz", "10"],
+            ["answers", "--fuzz", "-1"],
+        ],
+    )
+    def test_vacuous_or_ignored_options_are_usage_errors(self, argv, monkeypatch, capsys):
+        def never(**kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "SUITES", {name: never for name in cli.SUITES})
+        assert run_cli(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -152,6 +152,34 @@ class TestGenerateRound:
         ]
         assert path.read_text(encoding="utf-8").split("\n") == want + [""]
 
+    def test_dataset_keeps_signed_zeros_nan_and_infinities_apart(self, tmp_path):
+        # -0.0 == 0.0 and NaN != NaN: a text cache keyed by value would
+        # merge the zeros or miss NaN; each must write its own json.dumps text.
+        weights = (-0.0, 0.0, math.nan, math.inf, -math.inf, -0.0, 0.0)
+        ds = OfflineDataset(
+            round_index=1,
+            records={
+                "p": PromptRecord(
+                    candidates=tuple((f"c{i}", "1") for i in range(len(weights))),
+                    rewards=(1, 0, 1, 0, 1, 0, 1),
+                    log_weights=weights,
+                    majority="1",
+                )
+            },
+        )
+        path = tmp_path / "round.jsonl"
+        ds.save(path)
+        want = [
+            json.dumps(
+                {
+                    "round": 1, "prompt": "p", "candidate": i, "chain": f"c{i}", "answer": "1",
+                    "reward": reward, "log_weight": None if lw == -math.inf else lw,
+                }
+            )
+            for i, (reward, lw) in enumerate(zip(ds.records["p"].rewards, weights))
+        ]
+        assert path.read_bytes().decode("utf-8").split("\n") == want + [""]
+
     def test_dataset_round_trip_keeps_majority_surface_form(self, tmp_path):
         # With several surface forms per answer, the winning class holds
         # distinct strings; the majority is the least one, not the first.

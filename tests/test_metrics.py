@@ -272,3 +272,43 @@ class TestEvalHook:
         assert report.mean_entropy["train"] == pytest.approx(
             policy.mean_entropy(splits["train"]), abs=1e-15
         )
+
+    @pytest.mark.parametrize("eval_samples", [1, 3])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_hook_equals_maj_at_k_per_split(self, eval_samples, k, monkeypatch):
+        # Uniform over two classes with an even k: many votes tie, so the
+        # shared draw must build the same "eval-tie" streams maj_at_k does.
+        scopes = []
+        real = metrics.substream
+        monkeypatch.setattr(
+            metrics, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
+        )
+        space = two_class_space(30)
+        prompts = space.prompts
+        splits = {"train": prompts[:20], "test": prompts[20:]}
+        truth = truth_for(space)
+        hook = make_eval_hook(splits, truth, k=k, seed=4, eval_samples=eval_samples)
+        hook_ties = 0
+        for policy in (TabularPolicy.uniform(space), TabularPolicy(space, {x: (0.7, 0.3) for x in prompts})):
+            for round_index in (0, 3):
+                scopes.clear()
+                report = hook(round_index, policy)
+                hook_ties += sum(scope.startswith("eval-tie:") for scope in scopes)
+                for split, members in splits.items():
+                    kwargs = dict(eval_samples=eval_samples, round_index=round_index)
+                    assert report.maj1_acc[split] == maj_at_k(policy, members, 1, truth, 4, **kwargs)
+                    assert report.majk_acc[split] == maj_at_k(policy, members, k, truth, 4, **kwargs)
+        assert (hook_ties > 0) == (k > 1)
+
+    def test_truth_classes_are_looked_up_once(self, monkeypatch):
+        calls = []
+        real = PromptSpace.class_of
+        monkeypatch.setattr(
+            PromptSpace, "class_of", lambda self, x, answer: calls.append(x) or real(self, x, answer)
+        )
+        space = two_class_space(12)
+        splits = {"train": space.prompts[:8], "test": space.prompts[8:]}
+        hook = make_eval_hook(splits, truth_for(space), k=3, seed=0, eval_samples=2)
+        for round_index in range(4):
+            hook(round_index, TabularPolicy.uniform(space))
+        assert sorted(calls) == sorted(space.prompts)

@@ -1,10 +1,13 @@
 """Substream derivation, batched substream draws, simplex normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voteloop import util
 from voteloop.util import normalize_simplex, substream, substream_random, total_variation
 
 
@@ -52,6 +55,47 @@ class TestSubstreamRandom:
         got = substream_random(-12, addresses, 7)
         for row, tags in zip(got, addresses):
             np.testing.assert_array_equal(row, substream(-12, *tags).random(7))
+
+    @pytest.mark.parametrize("count", [1, 50, 10_000])
+    def test_counts(self, count):
+        addresses = [("gen", 2, "p0"), ("gen", 2, "p1"), ("eval", 2, 0, "p0")]
+        got = substream_random(5, addresses, count)
+        for row, tags in zip(got, addresses):
+            np.testing.assert_array_equal(row, substream(5, *tags).random(count))
+
+    @pytest.mark.parametrize("count", [3, 10])
+    def test_rows_spanning_several_blocks(self, count):
+        rows = 3 * (util._BLOCK // count) + 7
+        addresses = [("gen", 4, f"p{i}") for i in range(rows)]
+        got = substream_random(9, addresses, count)
+        for r in (0, util._BLOCK // count - 1, util._BLOCK // count, rows // 2, rows - 1):
+            np.testing.assert_array_equal(got[r], substream(9, *addresses[r]).random(count))
+
+    def test_lists_tuples_empty_and_changing_prefixes(self):
+        # Equal prefix values of different types (1, True, 1.0; 0.0, -0.0)
+        # stringify differently, so they must hash as distinct prefixes.
+        addresses = [
+            ["gen", 1, "p0"], ("gen", 1, "p1"), ["gen", 1, "p2"], (), [], ("gen",),
+            ("gen", True, "p0"), ("gen", 1.0, "p0"), ("gen", 1, "p0"), ("gen", 0.0, "x"),
+            ("gen", -0.0, "x"), ("eval", 1, 0, "p0"), ("eval", 1, 0, "p1"), ("eval", 1, 1, "p0"),
+            ("gen", 1), ("gen", 1, "p0"),
+        ]
+        for seed in (0, -7, 2**128 + 5, -(2**130)):
+            got = substream_random(seed, addresses, 6)
+            for row, tags in zip(got, addresses):
+                np.testing.assert_array_equal(row, substream(seed, *tags).random(6))
+            assert len({row.tobytes() for row in got}) == len({repr(tuple(t)) for t in addresses})
+
+    def test_memory_stays_near_the_output_size(self):
+        addresses = [("gen", 1, i) for i in range(200_000)]
+        tracemalloc.start()
+        try:
+            out = substream_random(0, addresses, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
+        np.testing.assert_array_equal(out[-1], substream(0, "gen", 1, 199_999).random(10))
 
     def test_empty_and_invalid(self):
         assert substream_random(0, [], 3).shape == (0, 3)
