@@ -6,9 +6,13 @@ exactly (closed form) for the tabular backend, by gradient ascent on logits
 for the softmax backend. Generation and training are strictly separated;
 rounds are sequential, prompts within a round are independent.
 
+A round's vote is an OfflineDataset of arrays on the space's rows; its
+pseudo-labels are the winning answer-class ids, which the weights of that
+round and the baseline of the next read directly.
+
 Early stopping watches train maj@k accuracy from the eval hook -- the one
-place ground-truth labels are consulted; the update path itself is fully
-label-free.
+place ground-truth labels are consulted; the update path sees only the
+vote's pseudo-labels.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -37,7 +40,6 @@ from .util import substream, substream_random
 
 __all__ = [
     "RunConfig",
-    "PromptRecord",
     "OfflineDataset",
     "RunResult",
     "generate_round",
@@ -83,35 +85,36 @@ class RunConfig:
         return RewardTransform(self.transform, self.beta)
 
 
-@dataclass(frozen=True)
-class PromptRecord:
-    candidates: tuple[tuple[str, str], ...]  # (chain-id, answer)
-    rewards: tuple[int, ...]
-    log_weights: tuple[float, ...]
-    majority: str
-
-
 @lru_cache(maxsize=1 << 16)
 def _pair_text(pair: tuple[str, str]) -> str:
     chain_id, answer = pair
     return f', "chain": {_json_str(chain_id)}, "answer": {_json_str(answer)}, "reward": '
 
 
-@dataclass
+@dataclass(eq=False)
 class OfflineDataset:
-    """One round's generation output. round_index names the generating
-    policy (0 for the base policy)."""
+    """One round's vote, laid out on the space's rows: row r is the prompt
+    space.prompts[r]. round_index names the generating policy (0 for the
+    base policy).
+
+    picks holds the k sampled chains of every row as flat chain indices
+    ([prompts, k], the form `PromptSpace._vote` takes), rewards and
+    log_weights the 0/1 reward and transformed log-weight of each pick,
+    and labels the winning answer-class id of every row.
+    """
 
     round_index: int
-    records: dict[str, PromptRecord]
+    space: PromptSpace
+    picks: np.ndarray
+    rewards: np.ndarray
+    log_weights: np.ndarray
+    labels: np.ndarray
 
-    def weighted_samples(self, prompt_order) -> list[WeightedSample]:
-        samples = []
-        for prompt in prompt_order:
-            rec = self.records[prompt]
-            for (chain, _), lw in zip(rec.candidates, rec.log_weights):
-                samples.append(WeightedSample(prompt, chain, lw))
-        return samples
+    def weighted_samples(self) -> list[WeightedSample]:
+        """Every pick as a WeightedSample, row by row in pick order."""
+        pairs = self.space._pairs
+        rows = zip(self.space.prompts, self.picks.tolist(), self.log_weights.tolist())
+        return [WeightedSample(x, pairs[i][0], lw) for x, at, lws in rows for i, lw in zip(at, lws)]
 
     def save(self, path) -> None:
         """One JSON object per candidate, in the bytes `json.dumps` writes
@@ -119,31 +122,37 @@ class OfflineDataset:
         (a -inf log-weight as null; log-weights are written as floats).
         Rows are joined from text pieces, 64 prompts per write;
         a log-weight's text is made once per float bit pattern."""
-        items = list(self.records.items())
+        prompts, pairs = self.space.prompts, self.space._pairs
         head = f'{{"round": {self.round_index}, "prompt": '
+        numbers = np.array([*map(str, range(self.picks.shape[1]))], object)
         weight_text: dict[int, str] = {}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for lo in range(0, len(items), 64):
-                prompts, chunk = zip(*items[lo : lo + 64])
-                sizes = [len(rec.candidates) for rec in chunk]
-                heads = np.array([f'{head}{_json_str(x)}, "candidate": ' for x in prompts], object)
-                index = np.arange(sum(sizes)) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
-                numbers = np.array([*map(str, range(max(sizes)))], object)
-                rows = np.repeat(heads, sizes) + numbers[index]
-                pairs = map(_pair_text, chain.from_iterable(rec.candidates for rec in chunk))
-                rewards = map(str, chain.from_iterable(rec.rewards for rec in chunk))
-                weights = chain.from_iterable(rec.log_weights for rec in chunk)
-                codes = np.fromiter(weights, float, len(index)).view(np.uint64).tolist()
+            for lo in range(0, len(prompts), 64):
+                chunk = slice(lo, lo + 64)
+                heads = [f'{head}{_json_str(x)}, "candidate": ' for x in prompts[chunk]]
+                rows = (np.array(heads, object)[:, None] + numbers).ravel()
+                texts = map(_pair_text, map(pairs.__getitem__, self.picks[chunk].ravel().tolist()))
+                rewards = map(str, self.rewards[chunk].ravel().tolist())
+                codes = self.log_weights[chunk].ravel().view(np.uint64).tolist()
                 for code in set(codes).difference(weight_text):
                     lw = float(np.array(code, dtype=np.uint64).view(float))
                     text = "null" if lw == -math.inf else json.dumps(lw)
                     weight_text[code] = f', "log_weight": {text}}}\n'
                 tails = map(weight_text.get, codes)
-                fh.write("".join(map("".join, zip(rows, pairs, rewards, tails))))
+                fh.write("".join(map("".join, zip(rows, texts, rewards, tails))))
 
     @classmethod
-    def load(cls, path) -> "OfflineDataset":
-        rows: dict[str, list[tuple[int, str, str, int, float]]] = {}
+    def load(cls, path, space: PromptSpace) -> "OfflineDataset":
+        """Inverse of save; the PromptSpace supplies the chain layout, and
+        each label is the answer class of the prompt's rewarded rows.
+
+        A file that is not a round of this space raises ValueError naming
+        the path: a row whose prompt or chain is outside the space or whose
+        answer is not the space's answer for that chain, a prompt of the
+        space with no rows, prompts with unequal candidate counts, or a
+        prompt whose rewarded rows are empty or span several answer classes.
+        """
+        rows: list[list[tuple[int, int, int, float]]] = [[] for _ in space.prompts]
         round_index = 0
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -151,41 +160,40 @@ class OfflineDataset:
                     continue
                 rec = json.loads(line)
                 round_index = int(rec["round"])
-                lw = rec["log_weight"]
-                rows.setdefault(rec["prompt"], []).append(
-                    (
-                        int(rec["candidate"]),
-                        rec["chain"],
-                        rec["answer"],
-                        int(rec["reward"]),
-                        -math.inf if lw is None else float(lw),
+                prompt, chain, answer = rec["prompt"], rec["chain"], rec["answer"]
+                row = space._row.get(prompt)
+                col = space._index[prompt].get(chain) if row is not None else None
+                if col is None or answer != space._answers[prompt][col]:
+                    problem = "is outside the prompt space" if col is None else (
+                        f"answers {answer!r}, not {space._answers[prompt][col]!r}"
                     )
-                )
-        records = {}
-        for prompt, entries in rows.items():
-            entries.sort()
-            candidates = tuple((chain, answer) for _, chain, answer, _, _ in entries)
-            rewards = tuple(r for *_, r, _ in entries)
-            # The rewarded answers are the winning class as sampled; its
-            # least member is the majority the vote returned.
-            rewarded = [answer for _, _, answer, r, _ in entries if r == 1]
-            if not rewarded:
-                raise ValueError(f"{path}: prompt {prompt!r} has no row with reward 1")
-            majority = min(rewarded)
-            records[prompt] = PromptRecord(
-                candidates=candidates,
-                rewards=rewards,
-                log_weights=tuple(lw for *_, lw in entries),
-                majority=majority,
-            )
-        return cls(round_index=round_index, records=records)
+                    raise ValueError(f"{path}: prompt {prompt!r} chain {chain!r} {problem}")
+                lw = rec["log_weight"]
+                lw = -math.inf if lw is None else float(lw)
+                at = space._bounds[row] + col
+                rows[row].append((int(rec["candidate"]), at, int(rec["reward"]), lw))
+        sizes = [len(entries) for entries in rows]
+        if 0 in sizes:
+            raise ValueError(f"{path}: prompt {space.prompts[sizes.index(0)]!r} has no rows")
+        if len(set(sizes)) > 1:
+            raise ValueError(f"{path}: prompts have unequal candidate counts {sorted(set(sizes))}")
+        table = np.array([sorted(entries) for entries in rows])
+        picks, rewards = table[..., 1].astype(np.intp), table[..., 2].astype(int)
+        classes = np.where(rewards == 1, space._flat_classes()[picks], -1)
+        labels = classes.max(axis=1)
+        least = np.where(classes < 0, labels[:, None], classes).min(axis=1)
+        bad = np.flatnonzero((labels < 0) | (least != labels))
+        if bad.size:
+            r = int(bad[0])
+            problem = "no row with reward 1" if labels[r] < 0 else "rewarded rows in several classes"
+            raise ValueError(f"{path}: prompt {space.prompts[r]!r} has {problem}")
+        return cls(round_index, space, picks, rewards, table[..., 3], labels)
 
 
 def _log_weigher(
-    space: PromptSpace,
     transform: RewardTransform,
     round_index: int,
-    prev_majority: dict[str, str] | None,
+    prev_labels: np.ndarray | None,
 ):
     """The per-chain log-weight rule of one round, as a function
     (prompt rows, class ids, 0/1 rewards) -> log-weights on arrays, where
@@ -193,7 +201,8 @@ def _log_weigher(
 
     log_transform is evaluated once per (reward, previous reward) pair; the
     previous reward of a chain is its class's indicator against the
-    previous round's majority, read only by the baseline-shifted transform.
+    previous round's label (a class id per row), read only by the
+    baseline-shifted transform.
     """
     shifted = transform.kind == "baseline_shifted" and round_index >= 2
     table = np.array(
@@ -205,8 +214,7 @@ def _log_weigher(
     )
     if not shifted:
         return lambda rows, classes, reward: table[2 * reward]
-    prev_class = np.array([space.class_of(x, prev_majority[x]) for x in space.prompts])
-    return lambda rows, classes, reward: table[2 * reward + (classes == prev_class[rows])]
+    return lambda rows, classes, reward: table[2 * reward + (classes == prev_labels[rows])]
 
 
 def generate_round(
@@ -217,9 +225,12 @@ def generate_round(
     *,
     transform: RewardTransform = RewardTransform("identity"),
     round_index: int = 1,
-    prev_majority: dict[str, str] | None = None,
+    prev_labels: np.ndarray | None = None,
 ) -> OfflineDataset:
     """Sample k candidates per prompt, vote, and attach transform log-weights.
+
+    `prev_labels` is the previous round's label of every row (its
+    dataset's `labels`), read by the baseline-shifted transform.
 
     Deterministic given the seed: every prompt draws from its own
     (seed, "gen", round, prompt) substream (all prompts in one batch), and
@@ -228,33 +239,21 @@ def generate_round(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if transform.kind == "baseline_shifted" and round_index >= 2 and prev_majority is None:
-        raise ValueError("baseline_shifted needs prev_majority from round 2 on")
+    if transform.kind == "baseline_shifted" and round_index >= 2 and prev_labels is None:
+        raise ValueError("baseline_shifted needs prev_labels from round 2 on")
 
-    weigh = _log_weigher(prompts, transform, round_index, prev_majority)
+    weigh = _log_weigher(transform, round_index, prev_labels)
     order = prompts.prompts
     draws = policy.sample_batch(
         order, substream_random(seed, [("gen", round_index, x) for x in order], k)
     )
     picks = prompts._offsets[:-1, None] + draws
-    classes, winner, majority = prompts._vote(
+    classes, labels = prompts._vote(
         picks, lambda r: partial(substream, seed, "tie", round_index, order[r])
     )
-    reward = (classes == winner[:, None]).astype(int)
+    reward = (classes == labels[:, None]).astype(int)
     log_w = weigh(np.arange(len(order))[:, None], classes, reward)
-    pairs = prompts._pairs
-    records = {
-        prompt: PromptRecord(
-            candidates=tuple(map(pairs.__getitem__, row)),
-            rewards=tuple(rewards),
-            log_weights=tuple(lws),
-            majority=pairs[best][1],
-        )
-        for prompt, row, rewards, lws, best in zip(
-            order, picks.tolist(), reward.tolist(), log_w.tolist(), majority.tolist()
-        )
-    }
-    return OfflineDataset(round_index=round_index - 1, records=records)
+    return OfflineDataset(round_index - 1, prompts, picks, reward, log_w, labels)
 
 
 @dataclass
@@ -279,12 +278,14 @@ class RunResult:
 
 def _chain_log_weights(
     space: PromptSpace,
-    majority: dict[str, str],
+    labels: np.ndarray,
     transform: RewardTransform,
     round_index: int,
-    prev_majority: dict[str, str] | None,
+    prev_labels: np.ndarray | None,
 ) -> dict[str, np.ndarray]:
-    """Exact per-chain log-weights implied by each prompt's majority label.
+    """Exact per-chain log-weights implied by each prompt's label, the
+    winning answer-class id of its row (and the previous round's labels for
+    the baseline-shifted transform).
 
     The vote fixes the pseudo-label; the reward of *any* chain is then its
     answer class's indicator against that label, so the tabular update can
@@ -292,11 +293,10 @@ def _chain_log_weights(
     over the space's flat class ids gives every prompt's row (read-only
     views of one flat array).
     """
-    weigh = _log_weigher(space, transform, round_index, prev_majority)
-    classes = space._vote_tables()[0]
+    weigh = _log_weigher(transform, round_index, prev_labels)
+    classes = space._flat_classes()
     rows = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
-    winner = np.array([space.class_of(x, majority[x]) for x in space.prompts])
-    flat = weigh(rows, classes, (classes == winner[rows]).astype(int))
+    flat = weigh(rows, classes, (classes == labels[rows]).astype(int))
     flat.flags.writeable = False
     bounds = space._bounds
     return {x: flat[a:b] for x, a, b in zip(space.prompts, bounds, bounds[1:])}
@@ -363,7 +363,7 @@ def run(
 
     best_trained_acc = -1.0
     stagnation = 0
-    prev_majority: dict[str, str] | None = None
+    prev_labels: np.ndarray | None = None
 
     for m in range(1, config.rounds + 1):
         dataset = generate_round(
@@ -373,19 +373,18 @@ def run(
             config.seed,
             transform=transform,
             round_index=m,
-            prev_majority=prev_majority,
+            prev_labels=prev_labels,
         )
         result.datasets.append(dataset)
-        majority = {x: rec.majority for x, rec in dataset.records.items()}
 
         degenerate: list[str] = []
         solver: dict[str, float] = {}
         if config.backend == "tabular":
-            log_w = _chain_log_weights(prompts, majority, transform, m, prev_majority)
+            log_w = _chain_log_weights(prompts, dataset.labels, transform, m, prev_labels)
             result.weight_history.append(log_w)
             policy, degenerate, objective = _update_tabular(policy, log_w)
         else:
-            samples = dataset.weighted_samples(prompts.prompts)
+            samples = dataset.weighted_samples()
             start = policy if config.warm_start else pi0
             policy, solve_report = solve_gradient(start, samples)
             objective = solve_report.objective_value
@@ -404,7 +403,7 @@ def run(
         report.solver = solver
         result.reports.append(report)
         checkpoint(m, policy, dataset)
-        prev_majority = majority
+        prev_labels = dataset.labels
 
         train_acc = report.majk_acc.get("train", 0.0)
         if train_acc > best_trained_acc:

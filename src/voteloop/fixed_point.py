@@ -7,9 +7,10 @@ The KL-regularized optimum under policy-dependent majority rewards solves
 where reward(c; pi) = 1 iff c's answer class is the majority under pi.
 kl_fixed_point iterates this tilt, recomputing rewards from the current
 policy each round (the rewards are non-stationary), and reports a residual
-against the equation itself rather than iteration deltas. Population labels
-are the space's answer classes of largest marginal mass; sampled labels are
-the majorities of a training round's vote.
+against the equation itself rather than iteration deltas. A label is an
+answer-class id per prompt, as the engine's vote returns it: population
+labels are the classes of largest marginal mass; sampled labels are the
+winners of a training round's vote (`generate_round`'s dataset labels).
 
 check_fixed_point_equivalence runs the fixed-point iteration next to the
 offline loop, which replays the engine's own tabular round rule
@@ -64,7 +65,7 @@ class KLSolution:
 @dataclass
 class FixedPointTrace:
     policies: list[TabularPolicy] = field(default_factory=list)
-    majorities: list[dict[str, str]] = field(default_factory=list)
+    labels: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
 
@@ -84,21 +85,21 @@ def _labels_at(
     seed: int,
     mode: str,
     k: int | None,
-) -> dict[str, str]:
-    """Majority label of every prompt under the policy at one iteration.
+) -> np.ndarray:
+    """Label of every prompt under the policy at one iteration: one
+    answer-class id per row of the space.
 
-    population mode: the key of the space's answer class of largest
-    marginal mass (the k -> infinity vote); an exact tie draws over the tied
-    class keys, sorted, from the "pop-tie" stream, built only on a tie.
-    sampled mode: the majorities of a training round's vote, i.e. of
-    generate_round at round `iteration`.
+    population mode: the answer class of largest marginal mass (the
+    k -> infinity vote); an exact tie draws over the tied classes, sorted by
+    key (least answer), from the "pop-tie" stream, built only on a tie.
+    sampled mode: the winners of a training round's vote, i.e. the labels
+    of generate_round at round `iteration`.
     """
     space = policy.space
     if mode != "population":
-        dataset = generate_round(policy, space, k, seed, round_index=iteration)
-        return {x: rec.majority for x, rec in dataset.records.items()}
-    labels = {}
-    for prompt in space.prompts:
+        return generate_round(policy, space, k, seed, round_index=iteration).labels
+    labels = np.empty(len(space.prompts), dtype=np.intp)
+    for r, prompt in enumerate(space.prompts):
         lookup = space._class_table(prompt)[1]
         mass: dict[int, float] = {}
         keys: dict[int, str] = {}
@@ -108,20 +109,18 @@ def _labels_at(
             mass[cid] = mass.get(cid, 0.0) + p
             keys[cid] = min(keys.get(cid, answer), answer)
         best = max(mass.values())
-        tied = sorted(keys[cid] for cid, m in mass.items() if m == best)
-        label = tied[0]
+        tied = sorted((keys[cid], cid) for cid, m in mass.items() if m == best)
+        pick = 0
         if len(tied) > 1:
-            label = tied[int(population_tie_stream(seed, iteration, prompt).integers(len(tied)))]
-        labels[prompt] = label
+            pick = int(population_tie_stream(seed, iteration, prompt).integers(len(tied)))
+        labels[r] = tied[pick][1]
     return labels
 
 
-def _tilt_from_base(pi0: TabularPolicy, labels: dict[str, str], beta: float) -> TabularPolicy:
+def _tilt_from_base(pi0: TabularPolicy, labels: np.ndarray, beta: float) -> TabularPolicy:
     """normalize(exp(1[answer class = label] / beta) * pi0) on every prompt."""
     space = pi0.space
-    log_w = {
-        x: (space.answer_classes(x) == space.class_of(x, labels[x])) / beta for x in space.prompts
-    }
+    log_w = {x: (space.answer_classes(x) == labels[r]) / beta for r, x in enumerate(space.prompts)}
     return closed_form_update(pi0, log_w, log=True)
 
 
@@ -161,9 +160,9 @@ def kl_fixed_point(
         labels_new = _labels_at(policy, m + 1, seed, mode, k)
         residual = _max_dev(policy, _tilt_from_base(pi0, labels_new, beta))
         trace.policies.append(policy)
-        trace.majorities.append(labels_new)
+        trace.labels.append(labels_new)
         trace.residuals.append(residual)
-        if residual <= config.tolerance and labels_new == labels_prev:
+        if residual <= config.tolerance and np.array_equal(labels_new, labels_prev):
             trace.converged = True
             break
         labels_prev = labels_new
@@ -193,7 +192,7 @@ def _offline_loop(
     seed: int,
     mode: str,
     k: int | None,
-) -> tuple[TabularPolicy, dict[str, str], bool, int]:
+) -> tuple[TabularPolicy, np.ndarray, bool, int]:
     """The offline side: the engine's tabular round rule under the
     baseline-shifted transform, with each round's labels from _labels_at,
     until the policy stops moving and the labels repeat.
@@ -202,13 +201,13 @@ def _offline_loop(
     """
     transform = RewardTransform("baseline_shifted", beta)
     policy = pi0
-    labels_prev: dict[str, str] | None = None
+    labels_prev: np.ndarray | None = None
     for m in range(1, config.max_rounds + 1):
         labels = _labels_at(policy, m, seed, mode, k)
         log_w = _chain_log_weights(pi0.space, labels, transform, m, labels_prev)
         new_policy = closed_form_update(policy, log_w, log=True)
         delta = _max_dev(new_policy, policy)
-        stable = labels == labels_prev
+        stable = np.array_equal(labels, labels_prev)
         policy, labels_prev = new_policy, labels
         if delta <= config.tolerance and stable:
             return policy, labels, True, m
@@ -239,7 +238,7 @@ def check_fixed_point_equivalence(
     per_prompt = 0.5 * row_sums(gap, pi0.space._offsets)
     return EquivalenceReport(
         distance=float(per_prompt.max()),
-        labels_match=trace.majorities[-1] == labels,
+        labels_match=np.array_equal(trace.labels[-1], labels),
         converged_fixed_point=trace.converged,
         converged_offline=converged,
         iterations_fixed_point=trace.iterations,

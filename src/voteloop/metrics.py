@@ -67,7 +67,7 @@ def _vote_hits(policy, prompts, k, truth_class, seed, eval_samples, round_index)
     )
     starts = np.tile(space._offsets[space._rows(prompts)], eval_samples)
     picks = starts[:, None] + policy.sample_batch(list(prompts) * eval_samples, uniforms)
-    classes, winner, _ = space._vote(
+    classes, winner = space._vote(
         picks,
         lambda r: partial(substream, seed, f"eval-tie:{r // n}", round_index, prompts[r % n]),
     )

@@ -107,9 +107,8 @@ class PromptSpace:
         self._pairs = tuple(
             pair for x in self.prompts for pair in zip(self._chains[x], self._answers[x])
         )
-        # Flat answer-class ids and answer ranks (_vote_tables), built on
-        # first use.
-        self._vote_table: tuple[np.ndarray, np.ndarray] | None = None
+        # Flat answer-class ids (_flat_classes), built on first use.
+        self._flat: np.ndarray | None = None
 
     def __contains__(self, prompt: str) -> bool:
         return prompt in self._chains
@@ -160,34 +159,25 @@ class PromptSpace:
             entry = self._classes[prompt] = (classes, dict(zip(answers, classes.tolist())))
         return entry
 
-    def _vote_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat answer-class ids, and flat answer ranks (the position of each
-        chain's answer among its prompt's distinct answers, sorted)."""
-        if self._vote_table is None:
-            classes = np.concatenate([self.answer_classes(x) for x in self.prompts])
-            ranks = []
-            for x in self.prompts:
-                answers = self._answers[x]
-                rank = {a: i for i, a in enumerate(sorted(set(answers)))}
-                ranks.extend(rank[a] for a in answers)
-            self._vote_table = classes, np.array(ranks, dtype=np.intp)
-        return self._vote_table
+    def _flat_classes(self) -> np.ndarray:
+        """Answer-class id of every chain, flat in the chain offsets."""
+        if self._flat is None:
+            self._flat = np.concatenate([self.answer_classes(x) for x in self.prompts])
+            self._flat.flags.writeable = False
+        return self._flat
 
     def _vote(
         self, picks: np.ndarray, tie_stream: Callable[[int], Callable[..., np.random.Generator]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Majority vote of every row of `picks`, an [rows, k] array of flat
         chain indices (each row within one prompt's chains).
 
-        Returns the class ids of the picks, the winning class of each row
-        and the flat chain index of each row's majority answer: the least
-        sampled answer of the winning class, the key `vote_classes` returns.
-        Votes are counted for all rows in one bincount over
+        Returns the class ids of the picks and the winning class of each
+        row. Votes are counted for all rows in one bincount over
         row * width + class id; only a row whose top count ties calls
         `vote_classes`, with `tie_stream(row)` as its tie stream.
         """
-        flat_classes, flat_ranks = self._vote_tables()
-        classes = flat_classes[picks]
+        classes = self._flat_classes()[picks]
         rows = np.arange(len(picks))
         width = int(np.diff(self._offsets).max())
         counts = np.bincount(
@@ -198,8 +188,7 @@ class PromptSpace:
         for r in np.flatnonzero((counts == top[:, None]).sum(axis=1) > 1).tolist():
             answers = [self._pairs[i][1] for i in picks[r].tolist()]
             winner[r] = vote_classes(classes[r], answers, tie_stream(r))[0]
-        rank = np.where(classes == winner[:, None], flat_ranks[picks], width)
-        return classes, winner, picks[rows, rank.argmin(axis=1)]
+        return classes, winner
 
     def _span(self, prompt: str) -> tuple[int, int]:
         """[start, end) of the prompt's chains in any flat per-chain array."""

@@ -33,7 +33,6 @@ __all__ = [
     "RewardTransform",
     "log_transform",
     "equivalence_classes",
-    "class_key",
     "class_ids",
     "vote_classes",
     "majority_vote",
@@ -127,11 +126,6 @@ def equivalence_classes(answers: Sequence[str], equiv: EquivFn = equivalent) -> 
     return [sorted(members) for members in groups.values()]
 
 
-def class_key(answers: Sequence[str], members: Sequence[int]) -> str:
-    """Canonical representative of a class: its lexicographically least member."""
-    return min(answers[i] for i in members)
-
-
 def class_ids(answers: Sequence[str], equiv: EquivFn = equivalent) -> np.ndarray:
     """One class id per answer, numbering the classes of equivalence_classes."""
     ids = [0] * len(answers)
@@ -142,7 +136,7 @@ def class_ids(answers: Sequence[str], equiv: EquivFn = equivalent) -> np.ndarray
 
 
 def _class_keys(classes: list[int], answers: Sequence[str]) -> dict[int, str]:
-    """class_key of every class present, in one pass."""
+    """Key of every class present: its lexicographically least answer."""
     keys: dict[int, str] = {}
     for answer, cid in zip(answers, classes):
         if cid not in keys or answer < keys[cid]:

@@ -2,8 +2,9 @@
 
 Each suite builds random instances, checks an implementation path against an
 independent oracle (closed form vs. iterated updates, analytic vs. numerical
-gradients, union-find voting vs. naive pairwise counting, parser vs. known
-pairs), and reports one pass/fail per instance plus machine-readable detail.
+gradients, the flat counting vote vs. naive pairwise counting, parser vs.
+known pairs), and reports one pass/fail per instance plus machine-readable
+detail.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +22,6 @@ from .answers import ExtractedAnswer, equivalent, extract_boxed, parse_answer
 from .fixed_point import check_fixed_point_equivalence
 from .optim import WeightedSample, closed_form_update, objective_gradient, product_form_oracle, weighted_mle_objective
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy
-from .rewards import majority_vote, tie_break_stream
 from .tasks import render_rational
 from .util import substream
 
@@ -227,8 +228,42 @@ def _vote_oracle(answers: Sequence[str]) -> tuple[set[str], int]:
     return {a for a, c in zip(answers, counts) if c == best}, best
 
 
+def _vote_failures(
+    combos: list[tuple[str, ...]], seed: int, rng: np.random.Generator | None
+) -> int:
+    """Answer lists of one size that `PromptSpace._vote` gets wrong.
+
+    One space holds a prompt per answer list (chains c0, c1, ... answering
+    it in order), and the identity picks of every prompt are voted at once,
+    with the tie stream `tie_break_stream(seed, 0, "p", answers)` builds.
+    A vote passes when a member of the winning class is in the counting
+    oracle's tied set and, given `rng`, when the picks permuted by one
+    `rng.permutation` per list win the same class.
+    """
+    chains = tuple(f"c{j}" for j in range(len(combos[0])))
+    prompts = [f"m{i}" for i in range(len(combos))]
+    space = PromptSpace(
+        dict.fromkeys(prompts, chains),
+        {x: dict(zip(chains, combo)) for x, combo in zip(prompts, combos)},
+    )
+    tie = partial(substream, seed, "tie", 0, "p")
+    starts = space._offsets[:-1, None]
+    classes, winner = space._vote(starts + np.arange(len(chains)), lambda r: tie)
+    ok = np.array(
+        [
+            any(equivalent(combo[int(np.argmax(row == w))], t) for t in _vote_oracle(combo)[0])
+            for combo, row, w in zip(combos, classes, winner.tolist())
+        ]
+    )
+    if rng is not None:
+        perms = np.array([rng.permutation(len(chains)) for _ in combos])
+        ok &= space._vote(starts + perms, lambda r: tie)[1] == winner
+    return int((~ok).sum())
+
+
 def verify_votes(seed: int = 0, max_multiset_len: int = 12) -> SuiteResult:
-    """majority_vote vs. brute-force counting, exhaustively.
+    """The training and eval vote (`PromptSpace._vote`) vs. brute-force
+    counting, exhaustively.
 
     The vote depends only on the answer multiset (keyed tie streams), so
     multisets up to length 12 over 4-symbol alphabets are swept exhaustively
@@ -236,55 +271,26 @@ def verify_votes(seed: int = 0, max_multiset_len: int = 12) -> SuiteResult:
     are additionally swept in full at smaller sizes.
     """
     result = SuiteResult("votes")
-    alphabets = [
-        ("plain", ["a", "b", "c", "d"]),
-        ("merged", ["0.5", "\\frac{1}{2}", "3", "x"]),
-    ]
     rng = substream(seed, "votes")
-    idx = 0
+    sweeps = [
+        ("plain", ["a", "b", "c", "d"], max_multiset_len, False),
+        ("merged", ["0.5", "\\frac{1}{2}", "3", "x"], max_multiset_len, False),
+        ("ordered-plain", ["a", "b", "c", "d"], 5, True),
+        ("ordered-merged", ["0.5", "\\frac{1}{2}", "3"], 6, True),
+    ]
     checked = 0
-    for name, alphabet in alphabets:
-        failures = 0
-        for size in range(1, max_multiset_len + 1):
-            for combo in itertools.combinations_with_replacement(alphabet, size):
-                answers = list(combo)
-                tie_rng = tie_break_stream(seed, 0, "p", answers)
-                got = majority_vote(answers, tie_rng)
-                tied, _ = _vote_oracle(answers)
-                ok = any(equivalent(got, t) for t in tied)
-                # Same multiset, permuted: identical winner (fresh stream,
-                # same key).
-                perm = [answers[i] for i in rng.permutation(len(answers))]
-                tie_rng2 = tie_break_stream(seed, 0, "p", perm)
-                got2 = majority_vote(perm, tie_rng2)
-                ok = ok and got == got2
-                if not ok:
-                    failures += 1
-                checked += 1
-        result.instances.append(
-            InstanceResult(idx, failures == 0, {"alphabet": name, "failures": failures})
-        )
-        idx += 1
-
-    # Full ordered sweeps at sizes where enumeration is cheap.
-    for name, alphabet, max_len in [
-        ("ordered-plain", ["a", "b", "c", "d"], 5),
-        ("ordered-merged", ["0.5", "\\frac{1}{2}", "3"], 6),
-    ]:
+    for idx, (name, alphabet, max_len, ordered) in enumerate(sweeps):
         failures = 0
         for size in range(1, max_len + 1):
-            for combo in itertools.product(alphabet, repeat=size):
-                answers = list(combo)
-                tie_rng = tie_break_stream(seed, 0, "p", answers)
-                got = majority_vote(answers, tie_rng)
-                tied, _ = _vote_oracle(answers)
-                if not any(equivalent(got, t) for t in tied):
-                    failures += 1
-                checked += 1
+            if ordered:
+                combos = list(itertools.product(alphabet, repeat=size))
+            else:
+                combos = list(itertools.combinations_with_replacement(alphabet, size))
+            failures += _vote_failures(combos, seed, None if ordered else rng)
+            checked += len(combos)
         result.instances.append(
             InstanceResult(idx, failures == 0, {"alphabet": name, "failures": failures})
         )
-        idx += 1
     result.notes.append(f"{checked} vote instances checked against the counting oracle")
     return result
 

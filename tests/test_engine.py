@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voteloop.engine as engine
-from voteloop.engine import OfflineDataset, PromptRecord, RunConfig, generate_round, run
+from voteloop.engine import OfflineDataset, RunConfig, generate_round, run
 from voteloop.engine import _chain_log_weights, _update_tabular
 from voteloop.metrics import make_eval_hook
 from voteloop.optim import product_form_oracle
@@ -36,42 +36,40 @@ class TestGenerateRound:
     def test_deterministic_policy_yields_unanimous_round(self):
         policy = TabularPolicy(vote_space(), {"p": (0.0, 1.0, 0.0)})
         ds = generate_round(policy, policy.space, k=7, seed=0)
-        rec = ds.records["p"]
-        assert rec.candidates == (("c1", "4"),) * 7
-        assert rec.rewards == (1,) * 7
-        assert rec.majority == "4"
+        assert ds.picks.tolist() == [[1] * 7]
+        assert ds.rewards.tolist() == [[1] * 7]
+        assert ds.labels.tolist() == [policy.space.class_of("p", "4")]
 
     def test_k_equals_one_always_rewards(self):
         policy = TabularPolicy.uniform(vote_space())
         ds = generate_round(policy, policy.space, k=1, seed=5)
-        rec = ds.records["p"]
-        assert rec.rewards == (1,)
-        assert rec.majority == rec.candidates[0][1]
+        assert ds.rewards.tolist() == [[1]]
+        assert ds.labels[0] == policy.space.answer_classes("p")[ds.picks[0, 0]]
 
     def test_large_k_majority_matches_binomial_oracle(self):
         # "4" holds 2/3 of the mass; at k=1000 the probability that it loses
-        # the count is below 1e-26 (binomial tail), so the majority is "4".
+        # the count is below 1e-26 (binomial tail), so the label is its class.
         policy = TabularPolicy.uniform(vote_space())
         ds = generate_round(policy, policy.space, k=1000, seed=11)
-        assert ds.records["p"].majority == "4"
+        assert ds.labels.tolist() == [policy.space.class_of("p", "4")]
 
     def test_seed_determinism(self):
         policy = TabularPolicy.uniform(vote_space())
         a = generate_round(policy, policy.space, k=20, seed=13)
         b = generate_round(policy, policy.space, k=20, seed=13)
-        assert a.records == b.records
+        for field in ("picks", "rewards", "log_weights", "labels"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_identity_log_weights(self):
         policy = TabularPolicy.uniform(vote_space())
         ds = generate_round(policy, policy.space, k=50, seed=1)
-        rec = ds.records["p"]
-        for reward, lw in zip(rec.rewards, rec.log_weights):
+        for reward, lw in zip(ds.rewards.ravel().tolist(), ds.log_weights.ravel().tolist()):
             assert lw == (0.0 if reward else -math.inf)
 
-    def test_baseline_transform_needs_prev_majority(self):
+    def test_baseline_transform_needs_prev_labels(self):
         policy = TabularPolicy.uniform(vote_space())
         transform = RewardTransform("baseline_shifted", 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prev_labels"):
             generate_round(policy, policy.space, k=3, seed=0, transform=transform, round_index=2)
 
     def test_dataset_round_trip(self, tmp_path):
@@ -82,12 +80,11 @@ class TestGenerateRound:
         )
         path = tmp_path / "round.jsonl"
         ds.save(path)
-        loaded = OfflineDataset.load(path)
+        loaded = OfflineDataset.load(path, policy.space)
         assert loaded.round_index == ds.round_index
-        rec, got = ds.records["p"], loaded.records["p"]
-        assert got.candidates == rec.candidates
-        assert got.rewards == rec.rewards
-        assert got.log_weights == rec.log_weights
+        assert loaded.space is policy.space
+        for field in ("picks", "rewards", "log_weights", "labels"):
+            assert np.array_equal(getattr(loaded, field), getattr(ds, field))
 
     def test_load_names_a_prompt_without_reward(self, tmp_path):
         policy = TabularPolicy.uniform(vote_space())
@@ -96,42 +93,76 @@ class TestGenerateRound:
         text = path.read_text(encoding="utf-8").replace('"reward": 1', '"reward": 0')
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=r"round\.jsonl: prompt 'p' has no row with reward 1"):
-            OfflineDataset.load(path)
+            OfflineDataset.load(path, policy.space)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: [{**rows[0], "prompt": "q"}, *rows[1:]], "prompt 'q' chain 'c0' is outside"),
+            (lambda rows: [{**rows[0], "chain": "c9"}, *rows[1:]], "prompt 'p' chain 'c9' is outside"),
+            (lambda rows: [{**rows[0], "answer": "7"}, *rows[1:]], "chain 'c0' answers '7', not '4'"),
+            (lambda rows: [r for r in rows if r["prompt"] != "r"], "prompt 'r' has no rows"),
+            (lambda rows: rows[1:], r"unequal candidate counts \[3, 4\]"),
+            (
+                lambda rows: [{**r, "reward": 1} for r in rows],
+                "prompt 'p' has rewarded rows in several classes",
+            ),
+        ],
+        ids=["prompt", "chain", "answer", "missing-prompt", "counts", "classes"],
+    )
+    def test_load_rejects_rows_that_do_not_fit_the_space(self, tmp_path, edit, message):
+        space = PromptSpace(
+            {"p": ("c0", "c1", "c2"), "r": ("c0", "c1")},
+            {"p": {"c0": "4", "c1": "4", "c2": "5"}, "r": {"c0": "1", "c1": "2"}},
+        )
+        path = tmp_path / "round.jsonl"
+        ds = OfflineDataset(
+            1, space, np.array([[0, 1, 2, 0], [3, 3, 4, 3]]),
+            np.array([[1, 1, 0, 1], [1, 1, 0, 1]]), np.zeros((2, 4)), np.array([0, 0]),
+        )
+        ds.save(path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert OfflineDataset.load(path, space).labels.tolist() == [0, 0]
+        path.write_text("".join(json.dumps(r) + "\n" for r in edit(rows)), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"round\.jsonl: .*" + message):
+            OfflineDataset.load(path, space)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        records=st.dictionaries(
-            st.text(min_size=1, max_size=8),
+    @given(data=st.data(), round_index=st.integers(0, 20))
+    def test_dataset_lines_equal_json_dumps(self, tmp_path_factory, data, round_index):
+        ids = st.one_of(
+            st.text(min_size=1, max_size=8).filter(lambda s: not any(c in s for c in "\t\n\r")),
+            st.sampled_from(['"', "\\", "\\frac{1}{2}", "é中", "\x7f"]),
+        )
+        answers = data.draw(
+            st.dictionaries(
+                ids, st.dictionaries(ids, st.text(max_size=10), min_size=1, max_size=4),
+                min_size=1, max_size=4,
+            )
+        )
+        space = PromptSpace({x: tuple(amap) for x, amap in answers.items()}, answers)
+        k = data.draw(st.integers(1, 5))
+        picks = np.array(
+            [
+                [data.draw(st.integers(a, b - 1)) for _ in range(k)]
+                for a, b in zip(space._bounds, space._bounds[1:])
+            ]
+        )
+        size = picks.size
+        rewards = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        weights = data.draw(
             st.lists(
-                st.tuples(
-                    st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\\frac{1}{2}", "é中", "\x7f"])),
-                    st.text(max_size=10),
-                    st.integers(0, 1),
-                    st.one_of(
-                        st.floats(allow_nan=True, allow_infinity=True),
-                        st.sampled_from([-0.0, 0.0, -math.inf, math.inf, 2.0, 1e-310, 0.1]),
-                    ),
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([-0.0, 0.0, -math.inf, math.inf, 2.0, 1e-310, 0.1]),
                 ),
-                min_size=1,
-                max_size=5,
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        round_index=st.integers(0, 20),
-    )
-    def test_dataset_lines_equal_json_dumps(self, tmp_path_factory, records, round_index):
+                min_size=size,
+                max_size=size,
+            )
+        )
         ds = OfflineDataset(
-            round_index=round_index,
-            records={
-                prompt: PromptRecord(
-                    candidates=tuple((chain, answer) for chain, answer, _, _ in rows),
-                    rewards=tuple(reward for _, _, reward, _ in rows),
-                    log_weights=tuple(lw for *_, lw in rows),
-                    majority=rows[0][1],
-                )
-                for prompt, rows in records.items()
-            },
+            round_index, space, picks, np.reshape(rewards, picks.shape),
+            np.array(weights, dtype=float).reshape(picks.shape), np.zeros(len(picks), dtype=int),
         )
         path = tmp_path_factory.mktemp("ds") / "round.jsonl"
         ds.save(path)
@@ -139,16 +170,15 @@ class TestGenerateRound:
             json.dumps(
                 {
                     "round": round_index,
-                    "prompt": prompt,
-                    "candidate": idx,
-                    "chain": chain,
-                    "answer": answer,
+                    "prompt": space.prompts[i // k],
+                    "candidate": i % k,
+                    "chain": space._pairs[pick][0],
+                    "answer": space._pairs[pick][1],
                     "reward": reward,
                     "log_weight": None if lw == -math.inf else lw,
                 }
             )
-            for prompt, rows in records.items()
-            for idx, (chain, answer, reward, lw) in enumerate(rows)
+            for i, (pick, reward, lw) in enumerate(zip(picks.ravel().tolist(), rewards, weights))
         ]
         assert path.read_text(encoding="utf-8").split("\n") == want + [""]
 
@@ -156,17 +186,11 @@ class TestGenerateRound:
         # -0.0 == 0.0 and NaN != NaN: a text cache keyed by value would
         # merge the zeros or miss NaN; each must write its own json.dumps text.
         weights = (-0.0, 0.0, math.nan, math.inf, -math.inf, -0.0, 0.0)
-        ds = OfflineDataset(
-            round_index=1,
-            records={
-                "p": PromptRecord(
-                    candidates=tuple((f"c{i}", "1") for i in range(len(weights))),
-                    rewards=(1, 0, 1, 0, 1, 0, 1),
-                    log_weights=weights,
-                    majority="1",
-                )
-            },
-        )
+        rewards = (1, 0, 1, 0, 1, 0, 1)
+        chains = tuple(f"c{i}" for i in range(len(weights)))
+        space = PromptSpace({"p": chains}, {"p": dict.fromkeys(chains, "1")})
+        picks = np.arange(len(weights))[None]
+        ds = OfflineDataset(1, space, picks, np.array([rewards]), np.array([weights]), np.zeros(1))
         path = tmp_path / "round.jsonl"
         ds.save(path)
         want = [
@@ -176,26 +200,25 @@ class TestGenerateRound:
                     "reward": reward, "log_weight": None if lw == -math.inf else lw,
                 }
             )
-            for i, (reward, lw) in enumerate(zip(ds.records["p"].rewards, weights))
+            for i, (reward, lw) in enumerate(zip(rewards, weights))
         ]
         assert path.read_bytes().decode("utf-8").split("\n") == want + [""]
 
-    def test_dataset_round_trip_keeps_majority_surface_form(self, tmp_path):
+    def test_dataset_round_trip_keeps_labels_of_several_surface_forms(self, tmp_path):
         # With several surface forms per answer, the winning class holds
-        # distinct strings; the majority is the least one, not the first.
+        # distinct strings; the loaded label is still the one class.
         corpus = make_corpus(CorpusSpec(n_train=60, n_test=10, surface_forms=3, seed=4))
         ds = generate_round(corpus.base, corpus.space, k=10, seed=0)
         path = tmp_path / "round.jsonl"
         ds.save(path)
-        loaded = OfflineDataset.load(path)
-        assert {x: r.majority for x, r in loaded.records.items()} == {
-            x: r.majority for x, r in ds.records.items()
-        }
-        first_rewarded = {
-            x: next(a for (_, a), r in zip(rec.candidates, rec.rewards) if r)
-            for x, rec in ds.records.items()
-        }
-        assert any(first_rewarded[x] != rec.majority for x, rec in ds.records.items())
+        loaded = OfflineDataset.load(path, corpus.space)
+        assert np.array_equal(loaded.labels, ds.labels)
+        pairs = corpus.space._pairs
+        forms = [
+            {pairs[i][1] for i, r in zip(row, rewards) if r}
+            for row, rewards in zip(ds.picks.tolist(), ds.rewards.tolist())
+        ]
+        assert any(len(f) > 1 for f in forms)
 
     def test_tie_streams_only_for_tied_votes(self, monkeypatch):
         scopes, batches = [], []
@@ -213,7 +236,7 @@ class TestGenerateRound:
             {f"p{i}": {"c0": "1", "c1": "2"} for i in range(40)},
         )
         ds = generate_round(TabularPolicy.uniform(space), space, k=4, seed=3)
-        ties = sum(sum(rec.rewards) == 2 for rec in ds.records.values())  # 2 votes each
+        ties = int((ds.rewards.sum(axis=1) == 2).sum())  # 2 votes each
         assert 0 < ties < 40
         # One batched draw over every prompt's "gen" address.
         assert len(batches) == 1
@@ -227,8 +250,7 @@ class TestTabularUpdate:
         config = RunConfig(k=15, rounds=1, seed=7)
         result = run(config, corpus.space, corpus.base, hook)
         ds = result.datasets[0]
-        majority = {x: rec.majority for x, rec in ds.records.items()}
-        log_w = _chain_log_weights(corpus.space, majority, RewardTransform("identity"), 1, None)
+        log_w = _chain_log_weights(corpus.space, ds.labels, RewardTransform("identity"), 1, None)
         expected, frozen, _ = _update_tabular(corpus.base, log_w)
         assert not frozen
         for x in corpus.space.prompts:
@@ -256,10 +278,8 @@ class TestTabularUpdate:
         result = run(config, corpus.space, corpus.base, hook)
         ds = result.datasets[0]
         post = result.policies[1]
-        for x, rec in ds.records.items():
-            for (chain, _), reward in zip(rec.candidates, rec.rewards):
-                if reward == 0:
-                    assert post.prob(x, chain) == 0.0
+        dropped = ds.picks[ds.rewards == 0]
+        assert dropped.size and not post._probs[dropped].any()
 
     def test_degenerate_prompt_freezes_and_counts(self):
         space = vote_space()
@@ -322,6 +342,19 @@ class TestRunLoop:
         result = run(config, corpus.space, corpus.base, hook)
         assert len(result.reports) == 4
         assert all(report.solver == {} for report in result.reports)
+
+    def test_baseline_shifted_run_looks_up_only_the_truth_classes(self, monkeypatch):
+        # Rounds pass labels on as class ids: the only class_of calls are
+        # the eval hook's truth lookups, one per prompt.
+        calls = []
+        real = PromptSpace.class_of
+        monkeypatch.setattr(
+            PromptSpace, "class_of", lambda self, x, answer: calls.append(x) or real(self, x, answer)
+        )
+        corpus, hook = corpus_fixture(seed=23, surface_forms=3)
+        config = RunConfig(k=9, rounds=4, patience=4, transform="baseline_shifted", beta=0.5, seed=4)
+        run(config, corpus.space, corpus.base, hook)
+        assert sorted(calls) == sorted(corpus.space.prompts)
 
     def test_softmax_backend_improves_on_easy_corpus(self):
         corpus, hook = corpus_fixture(n_train=12, n_test=4, seed=29, p_range=(0.7, 0.9))

@@ -39,36 +39,36 @@ def random_instance(rng, max_prompts=6, max_chains=6):
 
 
 def population_label(policy, prompt, seed=0, iteration=1):
-    return _labels_at(policy, iteration, seed, "population", None)[prompt]
+    labels = _labels_at(policy, iteration, seed, "population", None)
+    return labels[policy.space.prompts.index(prompt)]
 
 
 def rewarded(policy, prompt, label):
     """Per-chain membership of the label's answer class."""
-    space = policy.space
-    return (space.answer_classes(prompt) == space.class_of(prompt, label)).tolist()
+    return (policy.space.answer_classes(prompt) == label).tolist()
 
 
 class TestPopulationReward:
     def test_argmax_class_gets_one(self):
         policy = TabularPolicy(marginal_space(), {"p": (0.35, 0.35, 0.3)})
         label = population_label(policy, "p")
-        assert label == "4"
+        assert label == policy.space.class_of("p", "4")
         assert rewarded(policy, "p", label) == [True, True, False]
 
     def test_deterministic_policy(self):
         policy = TabularPolicy(marginal_space(), {"p": (0.0, 0.0, 1.0)})
         label = population_label(policy, "p")
-        assert label == "5"
+        assert label == policy.space.class_of("p", "5")
         assert rewarded(policy, "p", label) == [False, False, True]
 
     def test_tie_uses_seeded_stream_consistently(self):
         space = PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "a", "c1": "b"}})
         policy = TabularPolicy(space, {"p": (0.5, 0.5)})
         label = population_label(policy, "p")
-        assert label in {"a", "b"}
         assert population_label(policy, "p") == label
-        # The draw is over the tied class keys, sorted.
-        assert label == ["a", "b"][int(population_tie_stream(0, 1, "p").integers(2))]
+        # The draw is over the tied classes, sorted by key ("a" < "b").
+        classes = space.answer_classes("p").tolist()
+        assert label == classes[int(population_tie_stream(0, 1, "p").integers(2))]
 
     def test_equivalent_strings_pool_their_mass(self):
         space = PromptSpace(
@@ -76,10 +76,9 @@ class TestPopulationReward:
             {"p": {"c0": "0.5", "c1": "\\frac{1}{2}", "c2": "3"}},
         )
         policy = TabularPolicy(space, {"p": (0.3, 0.3, 0.4)})
-        # 0.5-class mass 0.6 beats the 0.4 of "3" once surface forms merge;
-        # the label is the class's least member.
+        # 0.5-class mass 0.6 beats the 0.4 of "3" once surface forms merge.
         label = population_label(policy, "p")
-        assert label == "0.5"
+        assert label == space.class_of("p", "0.5") == space.class_of("p", "\\frac{1}{2}")
         assert rewarded(policy, "p", label) == [True, True, False]
 
     def test_tie_stream_built_only_for_marginal_ties(self, monkeypatch):
@@ -94,13 +93,14 @@ class TestPopulationReward:
             {f"p{i}": {"c0": "a", "c1": "b"} for i in range(len(masses))},
         )
         policy = TabularPolicy(space, {f"p{i}": m for i, m in enumerate(masses)})
-        labels = _labels_at(policy, 4, 9, "population", None)
+        labels = _labels_at(policy, 4, 9, "population", None).tolist()
         assert scopes == ["pop-tie", "pop-tie"]
-        for prompt in ("p0", "p3"):
+        a, b = space.answer_classes("p0").tolist()
+        for row in (0, 3):
             # Same label as drawing with an eagerly built stream.
-            rng = real(9, "pop-tie", 4, prompt)
-            assert labels[prompt] == ["a", "b"][int(rng.integers(2))]
-        assert [labels[f"p{i}"] for i in (1, 2, 4)] == ["a", "b", "b"]
+            rng = real(9, "pop-tie", 4, f"p{row}")
+            assert labels[row] == [a, b][int(rng.integers(2))]
+        assert [labels[i] for i in (1, 2, 4)] == [a, b, b]
 
 
 class TestKLFixedPoint:
@@ -172,7 +172,8 @@ class TestKLFixedPoint:
             )
             for prompt in clear:
                 total += 1
-                agree += trace.majorities[0][prompt] == population_label(pi0, prompt)
+                row = pi0.space.prompts.index(prompt)
+                agree += trace.labels[0][row] == population_label(pi0, prompt)
         assert total >= 25
         assert agree / total >= 0.99
 
@@ -214,6 +215,18 @@ class TestEquivalenceCheck:
                 assert report.labels_match
         assert converged >= 20
 
+    @pytest.mark.parametrize("mode, k", [("population", None), ("sampled", 7)])
+    def test_labels_are_never_looked_up_by_answer(self, monkeypatch, mode, k):
+        calls = []
+        real = PromptSpace.class_of
+        monkeypatch.setattr(
+            PromptSpace, "class_of", lambda self, x, answer: calls.append(x) or real(self, x, answer)
+        )
+        rng = np.random.default_rng(15)
+        for idx in range(5):
+            check_fixed_point_equivalence(random_instance(rng), beta=0.1, seed=idx, mode=mode, k=k)
+        assert calls == []
+
 
 class TestOfflineLoopIsTheEngine:
     def test_sampled_offline_policy_equals_engine_run(self):
@@ -233,6 +246,6 @@ class TestOfflineLoopIsTheEngine:
             result = run(config, pi0.space, pi0, lambda m, policy, *rest: RoundReport(m))
             assert len(result.policies) == ran + 1
             assert np.array_equal(policy._probs, result.final_policy._probs)
-            assert labels == {x: rec.majority for x, rec in result.datasets[-1].records.items()}
+            assert np.array_equal(labels, result.datasets[-1].labels)
             longest = max(longest, ran)
         assert longest >= 3  # some instance must change its label after round 2

@@ -212,17 +212,16 @@ class TestFlatVote:
             return partial(substream, 7, "tie", r)
 
         picks = space._offsets[space._rows(rows)][:, None] + idx
-        classes, winner, majority = space._vote(picks, tie_stream)
+        classes, winner = space._vote(picks, tie_stream)
         tied = []
         for r, (prompt, row) in enumerate(zip(rows, idx)):
             counts = np.bincount(space.answer_classes(prompt)[row])
             if (counts == counts.max()).sum() > 1:
                 tied.append(r)
             answers = [space.answers(prompt)[i] for i in row.tolist()]
-            want_winner, want_majority = vote_classes(
+            want_winner, _ = vote_classes(
                 space.answer_classes(prompt)[row], answers, partial(substream, 7, "tie", r)
             )
             assert classes[r].tolist() == space.answer_classes(prompt)[row].tolist()
             assert winner[r] == want_winner
-            assert space._pairs[majority[r]][1] == want_majority
         assert streams == tied
