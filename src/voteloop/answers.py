@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 __all__ = [
     "DEFAULT_STEP_BUDGET",
@@ -298,22 +298,31 @@ def _parse_with(raw: str, budget: _Budget) -> CanonicalExpr:
         return CanonicalExpr(None, trimmed)
 
 
-def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
-    """Parse an answer string into an exact rational, or an opaque leaf.
-
-    Total function: any input outside the rational grammar (or exceeding
-    the step budget) yields CanonicalExpr(None, trimmed_input).
-    """
-    if not isinstance(raw, str):
-        raw = str(raw)
-    budget = _Budget(DEFAULT_STEP_BUDGET if step_budget is None else int(step_budget))
+def _parse_fresh(raw: str, step_budget: int) -> CanonicalExpr:
+    budget = _Budget(step_budget)
     try:
         return _parse_with(raw, budget)
     except _BudgetExhausted:
         return CanonicalExpr(None, raw.strip())
 
 
-_parse_default = lru_cache(maxsize=65_536)(parse_answer)
+# Parses under the default budget, shared by parse_answer and equivalent.
+_parse_default = lru_cache(maxsize=65_536)(partial(_parse_fresh, step_budget=DEFAULT_STEP_BUDGET))
+
+
+def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
+    """Parse an answer string into an exact rational, or an opaque leaf.
+
+    Total function: any input outside the rational grammar (or exceeding
+    the step budget) yields CanonicalExpr(None, trimmed_input). Parses
+    under the default budget are cached, and `equivalent` reads the same
+    cache, so a string parsed here is not parsed again there.
+    """
+    if not isinstance(raw, str):
+        raw = str(raw)
+    if step_budget is None:
+        return _parse_default(raw)
+    return _parse_fresh(raw, int(step_budget))
 
 
 def equivalent(a: str, b: str, step_budget: int | None = None) -> bool:

@@ -270,6 +270,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     final_entropy = metrics[rounds[-1]].get("train", {}).get("mean_entropy")
     if final_entropy is not None and final_entropy < 0.01:
         print("flag: entropy collapse (final train entropy < 0.01 nats)")
+    trouble = []
+    for r in rounds:
+        run_row = metrics[r].get("run", {})
+        unconverged = int(run_row.get("solver_unconverged", 0))
+        stalled = int(run_row.get("solver_stalled", 0))
+        if unconverged or stalled:
+            trouble.append(f"round {r} ({unconverged} unconverged, {stalled} stalled)")
+    if trouble:
+        print(f"flag: solver did not converge in {', '.join(trouble)}")
     return 0
 
 

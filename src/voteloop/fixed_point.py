@@ -235,7 +235,8 @@ def check_fixed_point_equivalence(
 
     # Total variation of every prompt: half the row sum of |difference|.
     gap = np.abs(solution.policy._probs - policy._probs)
-    per_prompt = 0.5 * row_sums(gap, pi0.space._offsets)
+    space = pi0.space
+    per_prompt = 0.5 * row_sums(gap, space._offsets, groups=space._length_groups())
     return EquivalenceReport(
         distance=float(per_prompt.max()),
         labels_match=np.array_equal(trace.labels[-1], labels),

@@ -14,11 +14,23 @@ and iterating it for m rounds telescopes into the product form
 
 which product_form_oracle evaluates directly as an independent check on
 the iterated path. For softmax policies the same objective is ascended by
-full-batch gradient steps with a monotone (backtracking) line search. All
+natural-gradient steps with a monotone (backtracking) line search. All
 prompts of a round ascend together: their logits and per-chain weights sit
 in one padded [prompts, chains] array, every prompt keeps its own step size
 and line search, and prompts that converge or stall are masked out while
 the rest continue.
+
+A prompt with per-chain weight counts cnt (total N) has its optimum at
+softmax = cnt/N, with supremum sup = sum_{cnt_c>0} cnt_c log(cnt_c/N). The
+gap sup - objective is N times the KL divergence from cnt/N to the policy,
+so a prompt is converged once that gap is at most gap_tolerance * N: a
+closed-form optimality certificate. The step is the Fisher-preconditioned
+(natural) gradient T * (cnt/(N p) - 1), zero where p == 0: its dot with the
+gradient is a chi-square sum, so it ascends, and it moves every uncounted
+chain's logit down by a fixed amount per unit step, so mass on chains whose
+optimum is -inf shrinks geometrically (Kakade 2001; Agarwal et al. 2021).
+A prompt is "stalled" when no step size raises its objective while its gap
+is still above the bound: the float floor of that prompt, not a slow rate.
 
 All products and normalizations run in log space with the usual max-shift,
 so per-round exponential weights as sharp as exp(100) compose over many
@@ -100,7 +112,7 @@ def _as_log(weights: np.ndarray, log: bool) -> np.ndarray:
 
 
 def _tilt_rows(
-    prev: np.ndarray, log_w: np.ndarray, offsets: np.ndarray
+    prev: np.ndarray, log_w: np.ndarray, offsets: np.ndarray, groups=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """normalize(exp(log_w) * prev) on every row of flat arrays laid out by
     `offsets`, in log space with a max shift; entries below TINY_PROB are
@@ -108,19 +120,20 @@ def _tilt_rows(
 
     Returns (new, degenerate). A degenerate row has no entry with both
     positive weight and positive prior; it keeps prev. Row sums go through
-    `row_sums`, so every row's bits equal a one-row call.
+    `row_sums` (with the rows' `length_groups`, when given), so every row's
+    bits equal a one-row call.
     """
     lens = np.diff(offsets)
     with np.errstate(divide="ignore", invalid="ignore"):
         combined = log_w + np.where(prev > 0, np.log(prev), -np.inf)
         shift = np.maximum.reduceat(combined, offsets[:-1])
         out = np.exp(combined - np.repeat(shift, lens))
-        out /= np.repeat(row_sums(out, offsets), lens)
+        out /= np.repeat(row_sums(out, offsets, groups=groups), lens)
         small = (out < TINY_PROB) & (out > 0)
         if small.any():
             flush = np.repeat(np.logical_or.reduceat(small, offsets[:-1]), lens)
             out[small] = 0.0
-            out[flush] /= np.repeat(row_sums(out, offsets), lens)[flush]
+            out[flush] /= np.repeat(row_sums(out, offsets, groups=groups), lens)[flush]
     degenerate = shift == -np.inf
     dead = np.repeat(degenerate, lens)
     out[dead] = prev[dead]
@@ -167,7 +180,7 @@ def _tilt_policy(
     `rows` holds are tilted at once, the others carry over. Returns the new
     policy and the degenerate rows, which keep prev."""
     offsets = prev.space._offsets
-    new, degenerate = _tilt_rows(prev._probs, log_w, offsets)
+    new, degenerate = _tilt_rows(prev._probs, log_w, offsets, prev.space._length_groups())
     keep = np.repeat(~rows, np.diff(offsets))
     new[keep] = prev._probs[keep]
     return TabularPolicy._trusted(prev.space, new), degenerate & rows
@@ -253,18 +266,29 @@ def weighted_mle_objective(policy: SoftmaxPolicy, samples: Sequence[WeightedSamp
     return total
 
 
-def _group_counts(
-    policy: SoftmaxPolicy, samples: Sequence[WeightedSample]
-) -> dict[str, np.ndarray]:
-    """Per prompt, total sample weight landing on each chain."""
-    counts: dict[str, np.ndarray] = {}
-    for s in samples:
-        i = policy.space.chain_index(s.prompt, s.chain)
-        if s.prompt not in counts:
-            counts[s.prompt] = np.zeros(len(policy.space.chains(s.prompt)))
-        if s.log_weight != -math.inf:
-            counts[s.prompt][i] += math.exp(s.log_weight)
-    return counts
+def _group_counts(space, samples: Sequence[WeightedSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Total sample weight landing on each chain, flat in the space's chain
+    offsets, and which prompts have samples.
+
+    One bincount over flat chain indices adds each sample's math.exp weight
+    in sample order, as a per-sample loop adds them (a -inf log-weight adds
+    +0.0, which leaves a nonnegative sum's bits alone).
+    """
+    rows, index, bounds = space._row, space._index, space._bounds
+    try:
+        at = [bounds[rows[s.prompt]] + index[s.prompt][s.chain] for s in samples]
+    except KeyError:
+        for s in samples:
+            space.chain_index(s.prompt, s.chain)  # raises naming the sample
+        raise
+    counts = np.bincount(
+        np.array(at, dtype=np.intp),
+        np.array([math.exp(s.log_weight) for s in samples]),
+        minlength=bounds[-1],
+    )
+    present = np.zeros(len(space.prompts), dtype=bool)
+    present[np.searchsorted(space._offsets, at, side="right") - 1] = True
+    return counts, present
 
 
 def objective_gradient(
@@ -275,10 +299,13 @@ def objective_gradient(
     Per prompt: (counts - total_weight * softmax(logits/T)) / T, where
     counts[c] is the summed weight of samples hitting chain c.
     """
+    space = policy.space
+    counts, present = _group_counts(space, samples)
     grads: dict[str, np.ndarray] = {}
-    for prompt, cnt in _group_counts(policy, samples).items():
-        p = policy.distribution(prompt)
-        grads[prompt] = (cnt - cnt.sum() * p) / policy.temperature
+    for r in np.flatnonzero(present).tolist():
+        cnt = counts[space._bounds[r] : space._bounds[r + 1]]
+        p = policy.distribution(space.prompts[r])
+        grads[space.prompts[r]] = (cnt - cnt.sum() * p) / policy.temperature
     return grads
 
 
@@ -286,15 +313,16 @@ def objective_gradient(
 class GradientConfig:
     learning_rate: float = 0.1
     max_iters: int = 10_000
-    grad_tolerance: float = 1e-8
+    # A prompt is converged once sup - objective <= gap_tolerance * N.
+    gap_tolerance: float = 1e-13
 
     def __post_init__(self):
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.grad_tolerance >= 0):
-            raise ValueError("grad_tolerance must be nonnegative")
+        if not (self.gap_tolerance >= 0):
+            raise ValueError("gap_tolerance must be nonnegative")
 
 
 STALL_NOTE = "line search stalled at float resolution"
@@ -334,9 +362,11 @@ def _solve_batch(
     grad_norm, iters, converged, objective trace, note) tuple per prompt.
 
     Rows are padded to the widest prompt with -inf logits and zero counts,
-    which contribute exact zeros to every row reduction. Each row keeps its
-    own step size, line search and iteration count; a row leaves the active
-    set once it converges, stalls or runs out of iterations.
+    which contribute exact zeros to every row reduction. A row leaves the
+    active set once its certificate holds (sup - objective <= tolerance *
+    N, sup computed once per row), its line search stalls, or it runs out
+    of iterations. Each row keeps its own step size along the natural
+    gradient; grad_norm is the final gradient max-norm, for the record.
     """
     n = len(logits)
     if n == 0:
@@ -348,36 +378,33 @@ def _solve_batch(
         z[i, : widths[i]] = row
         cnt[i, : widths[i]] = c
     total = _row_sum(cnt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sup = _row_sum(np.where(cnt > 0, cnt * np.log(cnt / total[:, None]), 0.0))
+    bound = config.gap_tolerance * total
     obj = _objective_rows(z, cnt, temperature)
     traces = [[v] for v in obj.tolist()]
-    grad_norm = np.zeros(n)
-    converged = np.ones(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     notes = [""] * n
 
-    def gradient(rows: np.ndarray) -> np.ndarray:
-        p = _softmax_rows(z[rows], temperature)
-        return (cnt[rows] - total[rows, None] * p) / temperature
-
-    # Step sizes act on the weight-normalized gradient so the scale is
-    # independent of the total sample weight; backtracking keeps each
-    # objective nondecreasing, doubling on clean successes.
+    # Step sizes act on a direction normalized by the total weight, so the
+    # scale is independent of it; backtracking keeps each objective
+    # nondecreasing, doubling on clean successes.
     step = np.full(n, float(config.learning_rate))
-    live = np.flatnonzero(total > 0)
-    ended = []  # stalled rows, whose final gradient decides convergence
+    live = np.arange(n)
     for _ in range(config.max_iters):
+        live = live[~(sup[live] - obj[live] <= bound[live])]
         if live.size == 0:
             break
-        grad = gradient(live)
-        finite = np.all(np.isfinite(grad), axis=1)
+        p = _softmax_rows(z[live], temperature)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direction = np.where(
+                p > 0, temperature * (cnt[live] / (total[live, None] * p) - 1.0), 0.0
+            )
+        finite = np.all(np.isfinite(direction), axis=1)
         for i in live[~finite]:
-            grad_norm[i], converged[i], notes[i] = math.inf, False, "non-finite gradient"
-        norm = np.max(np.abs(grad), axis=1)
-        done = finite & (norm <= config.grad_tolerance)
-        grad_norm[live[done]] = norm[done]
-        searching = finite & ~done
-        rows = live[searching]
-        direction = grad[searching] / total[rows, None]
+            notes[i] = "non-finite step direction"
+        rows = live[finite]
+        direction = direction[finite]
         accepted = np.zeros(rows.size, dtype=bool)
         trying = np.arange(rows.size)
         for _ in range(80):
@@ -396,15 +423,12 @@ def _solve_batch(
             accepted[trying[up]] = True
             trying = trying[~up]
         iterations[rows] += 1
-        stalled = rows[~accepted]
-        for i in stalled:
+        for i in rows[~accepted]:
             notes[i] = STALL_NOTE
-        ended.append(stalled)
         live = rows[accepted]
-    final = np.concatenate([*ended, live])  # live rows hit max_iters
-    norm = np.max(np.abs(gradient(final)), axis=1)
-    grad_norm[final] = norm
-    converged[final] = norm <= config.grad_tolerance
+    converged = sup - obj <= bound
+    p = _softmax_rows(z, temperature)
+    grad_norm = np.max(np.abs(cnt - total[:, None] * p), axis=1) / temperature
     return [
         (
             z[i, : widths[i]].copy(),
@@ -440,20 +464,27 @@ def solve_gradient(
     batch; the report aggregates the worst gradient norm and iteration
     count and counts unconverged and stalled prompts. The per-prompt
     objective trace is concatenated in prompt order and is nondecreasing
-    within each prompt by construction.
+    within each prompt by construction; objective_value adds the prompts'
+    final objectives in prompt order.
     """
-    counts = _group_counts(policy, samples)
-    prompts = [x for x in policy.space.prompts if x in counts]
+    space = policy.space
+    counts, present = _group_counts(space, samples)
+    spans = [slice(space._bounds[r], space._bounds[r + 1]) for r in np.flatnonzero(present)]
     results = _solve_batch(
-        [policy.logits(x) for x in prompts],
-        [counts[x] for x in prompts],
+        [policy._logits[at] for at in spans],
+        [counts[at] for at in spans],
         policy.temperature,
         config,
     )
-    new_logits = {x: z for x, (z, *_) in zip(prompts, results)}
-    solved = policy.with_logits(new_logits) if new_logits else policy
+    solved = policy
+    if spans:
+        logits = policy._logits.copy()
+        for at, (z, *_) in zip(spans, results):
+            logits[at] = z
+        solved = SoftmaxPolicy._trusted(space, logits, policy.temperature)
+    prompts = [x for x, has in zip(space.prompts, present.tolist()) if has]
     report = SolveReport(
-        objective_value=weighted_mle_objective(solved, samples),
+        objective_value=float(sum(r[4][-1] for r in results)),
         grad_norm=max((r[1] for r in results), default=0.0),
         iterations=max((r[2] for r in results), default=0),
         converged=all(r[3] for r in results),

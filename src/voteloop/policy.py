@@ -103,6 +103,8 @@ class PromptSpace:
         # of any flat per-chain array.
         self._offsets = np.cumsum([0] + [len(c) for c in self._chains.values()])
         self._bounds = self._offsets.tolist()
+        # util.length_groups(_offsets), built on first use.
+        self._groups: tuple | None = None
         # (chain, answer) of every chain, flat.
         self._pairs = tuple(
             pair for x in self.prompts for pair in zip(self._chains[x], self._answers[x])
@@ -158,6 +160,16 @@ class PromptSpace:
             classes.flags.writeable = False
             entry = self._classes[prompt] = (classes, dict(zip(answers, classes.tolist())))
         return entry
+
+    def _length_groups(self) -> tuple:
+        """`util.length_groups` of the chain offsets, for unmasked
+        `row_sums` calls on flat per-chain arrays of this space."""
+        if self._groups is None:
+            self._groups = tuple(length_groups(self._offsets))
+            for group in self._groups:
+                for array in group:
+                    array.flags.writeable = False
+        return self._groups
 
     def _flat_classes(self) -> np.ndarray:
         """Answer-class id of every chain, flat in the chain offsets."""
@@ -292,12 +304,13 @@ class _PolicyBase:
 
     def _cdf_table(self) -> np.ndarray:
         if self._cdf is None:
-            probs, offsets = self._probs, self.space._offsets
-            sum_ok = np.abs(row_sums(probs, offsets) - 1.0) <= CHOICE_SUM_TOL
+            probs, groups = self._probs, self.space._length_groups()
+            sum_ok = np.abs(row_sums(probs, self.space._offsets, groups=groups) - 1.0)
+            sum_ok = sum_ok <= CHOICE_SUM_TOL
             table = np.full(len(probs), np.nan)
             # Generator.choice's check and arithmetic (p >= 0 and sum near 1;
             # cdf = p.cumsum(); cdf /= cdf[-1]) for all rows of one length at once.
-            for rows, at in length_groups(offsets):
+            for rows, at in groups:
                 block = probs[at]
                 ok = sum_ok[rows] & ~(block < 0).any(axis=1)
                 cdf = block[ok].cumsum(axis=1)
@@ -383,8 +396,7 @@ class SoftmaxPolicy(_PolicyBase):
     ):
         if not (temperature > 0):
             raise ValueError("temperature must be positive")
-        self.temperature = float(temperature)
-        vecs, probs = [], []
+        vecs = []
         for prompt in space.prompts:
             if prompt not in logits:
                 raise KeyError(f"no logits for prompt {prompt!r}")
@@ -393,17 +405,36 @@ class SoftmaxPolicy(_PolicyBase):
                 raise ValueError(f"prompt {prompt!r}: logit shape {vec.shape} mismatch")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"prompt {prompt!r}: logits must be finite")
-            z = vec / self.temperature
-            z = z - z.max()
-            p = np.exp(z)
-            p /= p.sum()
-            if abs(p.sum() - 1.0) > SOFTMAX_SUM_TOL:
-                raise ValueError(f"prompt {prompt!r}: softmax normalization failed")
             vecs.append(vec)
-            probs.append(p)
-        self._logits = np.concatenate(vecs)
-        self._logits.flags.writeable = False
-        self._set_table(space, np.concatenate(probs))
+        self._set_logits(space, np.concatenate(vecs), temperature)
+        bad = np.abs(row_sums(self._probs, space._offsets, groups=space._length_groups()) - 1.0)
+        if np.any(bad > SOFTMAX_SUM_TOL):
+            prompt = space.prompts[int(np.argmax(bad > SOFTMAX_SUM_TOL))]
+            raise ValueError(f"prompt {prompt!r}: softmax normalization failed")
+
+    @classmethod
+    def _trusted(cls, space: PromptSpace, logits: np.ndarray, temperature: float) -> "SoftmaxPolicy":
+        """Policy over flat finite logits its caller has just computed (no
+        checks; the array is taken over and made read-only). Its
+        probabilities are the public constructor's, bit for bit."""
+        policy = cls.__new__(cls)
+        policy._set_logits(space, logits, temperature)
+        return policy
+
+    def _set_logits(self, space: PromptSpace, logits: np.ndarray, temperature: float) -> None:
+        """Take over flat logits and set the probabilities: every row is
+        softmax(z / T) computed as z - max(z), exp, then a division by the
+        row's sum, each row's bits as the same steps on that row alone."""
+        self.temperature = float(temperature)
+        offsets = space._offsets
+        lens = np.diff(offsets)
+        z = logits / self.temperature
+        z = z - np.repeat(np.maximum.reduceat(z, offsets[:-1]), lens)
+        p = np.exp(z)
+        p /= np.repeat(row_sums(p, offsets, groups=space._length_groups()), lens)
+        logits.flags.writeable = False
+        self._logits = logits
+        self._set_table(space, p)
 
     @classmethod
     def zeros(cls, space: PromptSpace, temperature: float = 1.0) -> "SoftmaxPolicy":
@@ -412,12 +443,6 @@ class SoftmaxPolicy(_PolicyBase):
     def logits(self, prompt: str) -> np.ndarray:
         start, end = self.space._span(prompt)
         return self._logits[start:end]
-
-    def with_logits(self, logits: Mapping[str, Sequence[float]]) -> "SoftmaxPolicy":
-        """New policy with some prompts' logits replaced."""
-        merged = {x: self.logits(x) for x in self.space.prompts}
-        merged.update({x: np.asarray(v, dtype=float) for x, v in logits.items()})
-        return SoftmaxPolicy(self.space, merged, self.temperature)
 
 
 Policy = TabularPolicy | SoftmaxPolicy

@@ -224,18 +224,26 @@ def length_groups(offsets: np.ndarray):
         yield rows, offsets[rows][:, None] + np.arange(n)
 
 
-def row_sums(values: np.ndarray, offsets: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def row_sums(
+    values: np.ndarray,
+    offsets: np.ndarray,
+    mask: np.ndarray | None = None,
+    groups=None,
+) -> np.ndarray:
     """Sum of every row of a flat array, bit for bit as `np.sum` adds the row.
 
     Rows of one length are summed as one [rows, n] block along axis 1, which
     adds each row in the order a 1-D `np.sum` does (`np.add.reduceat` adds
     in another order). With a mask, row r sums only its entries where the
     mask holds, as `np.sum(row[row_mask])` does; an empty row sums to 0.0.
+    An unmasked caller may pass `groups`, the `length_groups(offsets)` it
+    keeps (`PromptSpace._length_groups`), to skip regrouping the rows.
     """
     if mask is not None:
         values = values[mask]
         offsets = np.concatenate(([0], np.cumsum(mask)))[offsets]
+        groups = None
     out = np.zeros(len(offsets) - 1)
-    for rows, at in length_groups(offsets):
+    for rows, at in length_groups(offsets) if groups is None else groups:
         out[rows] = values[at].sum(axis=1)
     return out

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from voteloop import answers
 from voteloop.answers import (
     CanonicalExpr,
     ExtractedAnswer,
@@ -99,6 +100,17 @@ class TestParseAnswer:
         horror = "1" + "+1" * 200_000
         expr = parse_answer(horror, step_budget=1_000)
         assert not expr.is_numeric
+
+    def test_default_budget_parses_share_the_equivalent_cache(self, monkeypatch):
+        parses = []
+        real = answers._parse_with
+        monkeypatch.setattr(answers, "_parse_with", lambda raw, budget: parses.append(raw) or real(raw, budget))
+        a, b = "(1234567 - 7) / 8191", "\\frac{1234560}{8191}"
+        assert parse_answer(a).value == Fraction(1234560, 8191)
+        assert equivalent(a, b) and equivalent(a, a)
+        assert parse_answer(b) == parse_answer(b, step_budget=answers.DEFAULT_STEP_BUDGET)
+        # One cached parse of each string; the explicit budget parses afresh.
+        assert parses == [a, b, b]
 
     def test_total_on_random_bytes(self):
         rng = np.random.default_rng(7)

@@ -172,6 +172,23 @@ class TestReport:
     def test_missing_directory_is_exit_2(self, tmp_path):
         assert run_cli(["report", tmp_path / "empty"]) == 2
 
+    def test_flags_solver_trouble_from_the_run_rows(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["--backend", "softmax", "--corpus-n-train", "6", "--corpus-n-test", "2"]
+        run_cli(["run", *argv, "--rounds", "2", "--out-dir", out])
+        capsys.readouterr()
+        assert run_cli(["report", out]) == 0
+        assert "solver" not in capsys.readouterr().out
+        csv = out / "metrics.csv"
+        text = csv.read_text()
+        for row, value in (("2,run,solver_unconverged", "3.0"), ("2,run,solver_stalled", "1.0")):
+            assert f"{row},0.0\n" in text
+            text = text.replace(f"{row},0.0\n", f"{row},{value}\n")
+        csv.write_text(text)
+        assert run_cli(["report", out]) == 0
+        flags = [ln for ln in capsys.readouterr().out.splitlines() if "solver" in ln]
+        assert flags == ["flag: solver did not converge in round 2 (3 unconverged, 1 stalled)"]
+
 
 class TestAnswerCheck:
     def test_equivalent_pair_exits_zero(self, capsys):

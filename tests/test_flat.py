@@ -1,9 +1,11 @@
 """Flat-table operations against per-prompt references, bit for bit.
 
-The tabular update, entropies and votes run over all prompts at once on
-flat arrays laid out by the space's chain offsets. Each must equal the
-per-prompt computation it replaced: same distributions, degenerate
-prompts, objective, entropies and vote winners, to the last bit. The
+The tabular update, entropies, votes, softmax probabilities and the
+softmax solver's weight counts run over all prompts at once on flat arrays
+laid out by the space's chain offsets. Each must equal the per-prompt
+computation it replaced: same distributions, degenerate prompts,
+objective, entropies, vote winners, probabilities and counts, to the last
+bit. The
 references below are the one-prompt-at-a-time code.
 """
 
@@ -11,14 +13,22 @@ import math
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voteloop.engine import _update_tabular
-from voteloop.optim import DegeneratePromptError, closed_form_update
-from voteloop.policy import TABULAR_SUM_TOL, PromptSpace, TabularPolicy
+from voteloop.optim import DegeneratePromptError, WeightedSample, _group_counts, closed_form_update
+from voteloop.policy import (
+    TABULAR_SUM_TOL,
+    PromptSpace,
+    SoftmaxPolicy,
+    TabularPolicy,
+    load_policy,
+    save_policy,
+)
 from voteloop.rewards import vote_classes
-from voteloop.util import TINY_PROB, normalize_simplex, substream
+from voteloop.util import TINY_PROB, length_groups, normalize_simplex, row_sums, substream
 
 
 def reference_tilt(prev: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -225,3 +235,109 @@ class TestFlatVote:
             assert classes[r].tolist() == space.answer_classes(prompt)[row].tolist()
             assert winner[r] == want_winner
         assert streams == tied
+
+
+def reference_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """softmax(logits / T) for one prompt, as the per-prompt constructor made it."""
+    z = logits / temperature
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    return p
+
+
+def softmax_inputs(data):
+    """A space of prompts with 1-20 chains and finite logits for each."""
+    widths = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    chains = {f"p{i}": tuple(f"c{j}" for j in range(n)) for i, n in enumerate(widths)}
+    space = PromptSpace(chains, {x: {c: c for c in cs} for x, cs in chains.items()})
+    logit = st.floats(-60.0, 60.0, allow_subnormal=False)
+    logits = {x: np.array(data.draw(st.lists(logit, min_size=n, max_size=n))) for x, n in zip(chains, widths)}
+    return space, logits
+
+
+class TestFlatSoftmax:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_trusted_equals_public_constructor_and_per_prompt_rule(self, data):
+        space, logits = softmax_inputs(data)
+        temperature = data.draw(st.sampled_from([1.0, 0.6, 2.5, 0.05]))
+        public = SoftmaxPolicy(space, logits, temperature)
+        flat = np.concatenate([logits[x] for x in space.prompts])
+        trusted = SoftmaxPolicy._trusted(space, flat, temperature)
+        assert trusted._probs.tobytes() == public._probs.tobytes()
+        assert trusted._logits.tobytes() == public._logits.tobytes()
+        for x in space.prompts:
+            assert trusted.distribution(x).tobytes() == reference_softmax(logits[x], temperature).tobytes()
+
+    def test_reloaded_checkpoint_samples_the_trusted_policy(self, tmp_path):
+        rng = np.random.default_rng(3)
+        space = PromptSpace(
+            {f"p{i}": tuple(f"c{j}" for j in range(2 + i)) for i in range(12)},
+            {f"p{i}": {f"c{j}": str(j) for j in range(2 + i)} for i in range(12)},
+        )
+        flat = rng.normal(0, 30, space._bounds[-1])
+        trusted = SoftmaxPolicy._trusted(space, flat, 0.7)
+        save_policy(trusted, tmp_path / "p.policy")
+        loaded = load_policy(tmp_path / "p.policy", space)
+        assert loaded._probs.tobytes() == trusted._probs.tobytes()
+        uniforms = rng.random((len(space.prompts), 50))
+        assert np.array_equal(
+            loaded.sample_batch(space.prompts, uniforms), trusted.sample_batch(space.prompts, uniforms)
+        )
+
+
+def reference_counts(space: PromptSpace, samples) -> dict[str, np.ndarray]:
+    """Per prompt with samples, the weight on each chain added one sample at a time."""
+    counts: dict[str, np.ndarray] = {}
+    for s in samples:
+        cnt = counts.setdefault(s.prompt, np.zeros(len(space.chains(s.prompt))))
+        if s.log_weight != -math.inf:
+            cnt[space.chain_index(s.prompt, s.chain)] += math.exp(s.log_weight)
+    return counts
+
+
+class TestGroupCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_sample_loop(self, data):
+        space, _ = softmax_inputs(data)
+        log_weight = st.one_of(st.just(-math.inf), st.floats(-30.0, 5.0))
+        picks = st.tuples(st.sampled_from(space.prompts), st.integers(0, 19), log_weight)
+        samples = [
+            WeightedSample(x, space.chains(x)[j % len(space.chains(x))], lw)
+            for x, j, lw in data.draw(st.lists(picks, max_size=60))
+        ]
+        counts, present = _group_counts(space, samples)
+        want = reference_counts(space, samples)
+        assert [x for x, has in zip(space.prompts, present) if has] == [x for x in space.prompts if x in want]
+        for x in space.prompts:
+            got = counts[slice(*space._span(x))]
+            assert got.tobytes() == want.get(x, np.zeros(len(got))).tobytes()
+
+    def test_unknown_chain_is_named(self):
+        space = PromptSpace({"p": ("A", "B")}, {"p": {"A": "a", "B": "b"}})
+        with pytest.raises(KeyError, match="unknown chain 'C'"):
+            _group_counts(space, [WeightedSample("p", "A", 0.0), WeightedSample("p", "C", 0.0)])
+
+
+class TestLengthGroups:
+    def test_cached_groups_give_the_same_row_sums(self):
+        rng = np.random.default_rng(5)
+        widths = rng.integers(1, 20, 40)
+        space = PromptSpace(
+            {f"p{i}": tuple(f"c{j}" for j in range(n)) for i, n in enumerate(widths)},
+            {f"p{i}": {f"c{j}": "a" for j in range(n)} for i, n in enumerate(widths)},
+        )
+        groups = space._length_groups()
+        assert space._length_groups() is groups
+        fresh = list(length_groups(space._offsets))
+        assert len(groups) == len(fresh)
+        for (rows, at), (rows2, at2) in zip(groups, fresh):
+            assert np.array_equal(rows, rows2) and np.array_equal(at, at2)
+            assert not rows.flags.writeable and not at.flags.writeable
+        values = rng.normal(size=space._bounds[-1])
+        assert (
+            row_sums(values, space._offsets, groups=groups).tobytes()
+            == row_sums(values, space._offsets).tobytes()
+        )

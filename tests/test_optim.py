@@ -287,6 +287,48 @@ class TestSolveGradient:
             assert total_variation(p / p.sum(), w / w.sum()) <= 1e-6
             assert all(b >= a for a, b in zip(trace, trace[1:]))
 
+    def zero_count_batch(self):
+        # 200 prompts of 2-8 chains, each chain's weight zero with
+        # probability 0.4: every zero-weight chain's optimal logit is -inf.
+        rng = np.random.default_rng(41)
+        logits, counts = [], []
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            c = rng.uniform(0.5, 5.0, n) * (rng.random(n) >= 0.4)
+            if not c.any():
+                c[int(rng.integers(n))] = 1.0
+            logits.append(rng.normal(0, 2, n))
+            counts.append(c)
+        return logits, counts
+
+    @pytest.mark.parametrize("temperature", [0.6, 1.0, 2.5])
+    def test_zero_count_chains_converge_in_few_steps(self, temperature):
+        logits, counts = self.zero_count_batch()
+        results = _solve_batch(logits, counts, temperature, GradientConfig())
+        assert sum(not r[3] for r in results) == 0
+        assert sum(r[5] == STALL_NOTE for r in results) == 0
+        assert max(r[2] for r in results) <= 100
+        for c, (z, _, _, _, trace, _) in zip(counts, results):
+            p = np.exp((z - z.max()) / temperature)
+            assert total_variation(p / p.sum(), c / c.sum()) <= 1e-6
+            assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-13, 1e-6])
+    @pytest.mark.parametrize("max_iters", [1, 3, 10_000])
+    def test_converged_exactly_when_the_gap_certificate_holds(self, tolerance, max_iters):
+        logits, counts = self.zero_count_batch()
+        config = GradientConfig(max_iters=max_iters, gap_tolerance=tolerance)
+        results = _solve_batch(logits, counts, 1.0, config)
+        for c, (_, _, iters, converged, trace, note) in zip(counts, results):
+            total = sum(c.tolist())
+            sup = sum(n * math.log(n / total) for n in c.tolist() if n > 0)
+            gap = sup - trace[-1]
+            assert converged == (gap <= tolerance * total)
+            if note == STALL_NOTE:
+                assert not converged
+            if not converged and not note:
+                assert iters == max_iters
+
     def test_prompts_without_samples_are_untouched(self):
         space = PromptSpace(
             {"p0": ("A", "B"), "p1": ("A", "B")},
@@ -316,9 +358,9 @@ class TestSolveGradient:
         config = GradientConfig(max_iters=200)
 
         solved, report = solve_gradient(policy, samples, config)
-        counts = _group_counts(policy, samples)
+        counts, _ = _group_counts(space, samples)
         alone = {
-            x: _solve_prompt(policy.logits(x), counts[x], temperature, config)
+            x: _solve_prompt(policy.logits(x), counts[slice(*space._span(x))], temperature, config)
             for x in space.prompts
         }
         for x, (z, *_) in alone.items():
@@ -348,12 +390,12 @@ class TestSolveGradient:
         with pytest.raises(ValueError):
             GradientConfig(max_iters=0)
 
-    def test_grad_tolerance_must_be_nonnegative(self):
-        GradientConfig(grad_tolerance=0.0)
+    def test_gap_tolerance_must_be_nonnegative(self):
+        GradientConfig(gap_tolerance=0.0)
         with pytest.raises(ValueError):
-            GradientConfig(grad_tolerance=-1e-12)
+            GradientConfig(gap_tolerance=-1e-12)
         with pytest.raises(ValueError):
-            GradientConfig(grad_tolerance=math.nan)
+            GradientConfig(gap_tolerance=math.nan)
 
 
 class TestTabularOptimality:
