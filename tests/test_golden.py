@@ -36,9 +36,9 @@ GOLDEN = {
         "summary.json": "fb710e9af7ef9d9e6777e42f02d2df7ec414519517722b6e2367d0fd4b594f2e",
     },
     "softmax": {
-        "checkpoints": "8b6c49bcf4ba1964a83f4a774b630a98cc48bde922f8109ae6936a2d2fda1b2f",
+        "checkpoints": "da314872f21d961e349d9bb4e5c06db33cb66f8ce11b97be5a4385ebf6b8b085",
         "datasets": "1888db86e657c3819fcf91d2380655043a70aca8b3f504b9351b055f8de62aba",
-        "metrics.csv": "16c9ceaa26bd41430607c53db3a9660eea8540f6a99c5df850aacd4bb9f5431e",
+        "metrics.csv": "31bb2d9fce6b98821710985696021f32be3880e86bddeb6ec33ddef29dca2b35",
         "summary.json": "837eb637e0dd6c328ce02620c45ddc537df2053fa902ff5426f5f8a45845b88d",
     },
 }
