@@ -181,13 +181,21 @@ class TestReport:
         assert "solver" not in capsys.readouterr().out
         csv = out / "metrics.csv"
         text = csv.read_text()
-        for row, value in (("2,run,solver_unconverged", "3.0"), ("2,run,solver_stalled", "1.0")):
+        edits = (
+            ("1,run,solver_stalled", "2.0"),
+            ("2,run,solver_unconverged", "3.0"),
+            ("2,run,solver_stalled", "1.0"),
+        )
+        for row, value in edits:
             assert f"{row},0.0\n" in text
             text = text.replace(f"{row},0.0\n", f"{row},{value}\n")
         csv.write_text(text)
         assert run_cli(["report", out]) == 0
         flags = [ln for ln in capsys.readouterr().out.splitlines() if "solver" in ln]
-        assert flags == ["flag: solver did not converge in round 2 (3 unconverged, 1 stalled)"]
+        assert flags == [
+            "flag: solver did not converge in "
+            "round 1 (0 unconverged, 2 stalled), round 2 (3 unconverged, 1 stalled)"
+        ]
 
 
 class TestAnswerCheck:
