@@ -469,7 +469,8 @@ def solve_gradient(
     """
     space = policy.space
     counts, present = _group_counts(space, samples)
-    spans = [slice(space._bounds[r], space._bounds[r + 1]) for r in np.flatnonzero(present)]
+    rows = np.flatnonzero(present).tolist()
+    spans = [slice(space._bounds[r], space._bounds[r + 1]) for r in rows]
     results = _solve_batch(
         [policy._logits[at] for at in spans],
         [counts[at] for at in spans],
@@ -482,7 +483,7 @@ def solve_gradient(
         for at, (z, *_) in zip(spans, results):
             logits[at] = z
         solved = SoftmaxPolicy._trusted(space, logits, policy.temperature)
-    prompts = [x for x, has in zip(space.prompts, present.tolist()) if has]
+    prompts = [space.prompts[r] for r in rows]
     report = SolveReport(
         objective_value=float(sum(r[4][-1] for r in results)),
         grad_norm=max((r[1] for r in results), default=0.0),

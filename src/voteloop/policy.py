@@ -304,9 +304,9 @@ class _PolicyBase:
 
     def _cdf_table(self) -> np.ndarray:
         if self._cdf is None:
-            probs, groups = self._probs, self.space._length_groups()
-            sum_ok = np.abs(row_sums(probs, self.space._offsets, groups=groups) - 1.0)
-            sum_ok = sum_ok <= CHOICE_SUM_TOL
+            probs, space = self._probs, self.space
+            groups = space._length_groups()
+            sum_ok = np.abs(row_sums(probs, space._offsets, groups=groups) - 1.0) <= CHOICE_SUM_TOL
             table = np.full(len(probs), np.nan)
             # Generator.choice's check and arithmetic (p >= 0 and sum near 1;
             # cdf = p.cumsum(); cdf /= cdf[-1]) for all rows of one length at once.
