@@ -13,6 +13,11 @@ round and the baseline of the next read directly.
 Early stopping watches train maj@k accuracy from the eval hook -- the one
 place ground-truth labels are consulted; the update path sees only the
 vote's pseudo-labels.
+
+With an output directory, every round's dataset (JSON lines) and policy
+checkpoint are written atomically. The dataset writer joins text pieces
+cached per space and per log-weight bit pattern, with no Python step per
+line.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -36,7 +41,7 @@ from .optim import (
 )
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import RewardTransform, log_transform
-from .util import substream, substream_random
+from .util import _atomic_write, substream, substream_random
 
 __all__ = [
     "RunConfig",
@@ -85,10 +90,22 @@ class RunConfig:
         return RewardTransform(self.transform, self.beta)
 
 
-@lru_cache(maxsize=1 << 16)
-def _pair_text(pair: tuple[str, str]) -> str:
-    chain_id, answer = pair
-    return f', "chain": {_json_str(chain_id)}, "answer": {_json_str(answer)}, "reward": '
+def _dataset_text(space: PromptSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Text pieces of the dataset writer that depend only on the space, as
+    object arrays built once per space: every row's
+    `, "prompt": <x>, "candidate": ` head and every flat chain's
+    `, "chain": <c>, "answer": <a>, "reward": ` text."""
+    if space._dataset_text is None:
+        heads = [f', "prompt": {_json_str(x)}, "candidate": ' for x in space.prompts]
+        pairs = [
+            f', "chain": {_json_str(c)}, "answer": {_json_str(a)}, "reward": ' for c, a in space._pairs
+        ]
+        space._dataset_text = np.array(heads, object), np.array(pairs, object)
+    return space._dataset_text
+
+
+def _weight_json(lw: float) -> str:
+    return "null" if lw == -math.inf else json.dumps(lw)
 
 
 @dataclass(eq=False)
@@ -120,26 +137,38 @@ class OfflineDataset:
         """One JSON object per candidate, in the bytes `json.dumps` writes
         for {round, prompt, candidate, chain, answer, reward, log_weight}
         (a -inf log-weight as null; log-weights are written as floats).
-        Rows are joined from text pieces, 64 prompts per write;
-        a log-weight's text is made once per float bit pattern."""
-        prompts, pairs = self.space.prompts, self.space._pairs
-        head = f'{{"round": {self.round_index}, "prompt": '
-        numbers = np.array([*map(str, range(self.picks.shape[1]))], object)
-        weight_text: dict[int, str] = {}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for lo in range(0, len(prompts), 64):
-                chunk = slice(lo, lo + 64)
-                heads = [f'{head}{_json_str(x)}, "candidate": ' for x in prompts[chunk]]
-                rows = (np.array(heads, object)[:, None] + numbers).ravel()
-                texts = map(_pair_text, map(pairs.__getitem__, self.picks[chunk].ravel().tolist()))
-                rewards = map(str, self.rewards[chunk].ravel().tolist())
-                codes = self.log_weights[chunk].ravel().view(np.uint64).tolist()
-                for code in set(codes).difference(weight_text):
-                    lw = float(np.array(code, dtype=np.uint64).view(float))
-                    text = "null" if lw == -math.inf else json.dumps(lw)
-                    weight_text[code] = f', "log_weight": {text}}}\n'
-                tails = map(weight_text.get, codes)
-                fh.write("".join(map("".join, zip(rows, texts, rewards, tails))))
+
+        Each line is five text pieces picked by array index: the round
+        head, the row's prompt head and the candidate number, the pick's
+        (chain, answer) text (both cached on the space), and a
+        (reward, log-weight) tail made once per reward and log-weight bit
+        pattern, so -0.0, 0.0 and NaN keep their own text. The pieces of
+        64 prompts are joined per write. The file is replaced atomically
+        (`util._atomic_write`): an interrupted write leaves the previous file.
+        """
+        heads, pairs = _dataset_text(self.space)
+        rewards, reward_at = np.unique(self.rewards.ravel(), return_inverse=True)
+        codes = np.ascontiguousarray(self.log_weights, dtype=np.float64).view(np.uint64)
+        codes, code_at = np.unique(codes.ravel(), return_inverse=True)
+        n = len(codes)
+        keys, tail_at = np.unique(reward_at * n + code_at, return_inverse=True)
+        rewards, weights = rewards.tolist(), codes.view(np.float64).tolist()
+        tails = np.array(
+            [f'{rewards[i // n]}, "log_weight": {_weight_json(weights[i % n])}}}\n' for i in keys],
+            object,
+        )
+        tail_at = tail_at.reshape(self.picks.shape)
+        block = np.empty((64, self.picks.shape[1], 5), object)
+        block[..., 0] = f'{{"round": {self.round_index}'
+        block[..., 2] = [*map(str, range(self.picks.shape[1]))]
+        with _atomic_write(path) as fh:
+            for lo in range(0, len(heads), 64):
+                rows = slice(lo, lo + 64)
+                part = block[: len(heads[rows])]
+                part[..., 1] = heads[rows, None]
+                part[..., 3] = pairs[self.picks[rows]]
+                part[..., 4] = tails[tail_at[rows]]
+                fh.write("".join(part.ravel().tolist()).encode("utf-8"))
 
     @classmethod
     def load(cls, path, space: PromptSpace) -> "OfflineDataset":
@@ -147,19 +176,22 @@ class OfflineDataset:
         each label is the answer class of the prompt's rewarded rows.
 
         A file that is not a round of this space raises ValueError naming
-        the path: a row whose prompt or chain is outside the space or whose
-        answer is not the space's answer for that chain, a prompt of the
-        space with no rows, prompts with unequal candidate counts, or a
-        prompt whose rewarded rows are empty or span several answer classes.
+        the path: rows with different round values, a row whose prompt or
+        chain is outside the space or whose answer is not the space's answer
+        for that chain, a prompt of the space with no rows, prompts with
+        unequal candidate counts, a prompt whose candidate numbers are not
+        0..k-1, a prompt whose rewarded rows are empty or span several
+        answer classes, or a row whose reward is not 1 exactly when its
+        answer is in that class.
         """
         rows: list[list[tuple[int, int, int, float]]] = [[] for _ in space.prompts]
-        round_index = 0
+        rounds: set[int] = set()
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                round_index = int(rec["round"])
+                rounds.add(int(rec["round"]))
                 prompt, chain, answer = rec["prompt"], rec["chain"], rec["answer"]
                 row = space._row.get(prompt)
                 col = space._index[prompt].get(chain) if row is not None else None
@@ -172,22 +204,37 @@ class OfflineDataset:
                 lw = -math.inf if lw is None else float(lw)
                 at = space._bounds[row] + col
                 rows[row].append((int(rec["candidate"]), at, int(rec["reward"]), lw))
+        if len(rounds) > 1:
+            raise ValueError(f"{path}: rows have several round values {sorted(rounds)}")
         sizes = [len(entries) for entries in rows]
         if 0 in sizes:
             raise ValueError(f"{path}: prompt {space.prompts[sizes.index(0)]!r} has no rows")
         if len(set(sizes)) > 1:
             raise ValueError(f"{path}: prompts have unequal candidate counts {sorted(set(sizes))}")
         table = np.array([sorted(entries) for entries in rows])
-        picks, rewards = table[..., 1].astype(np.intp), table[..., 2].astype(int)
-        classes = np.where(rewards == 1, space._flat_classes()[picks], -1)
-        labels = classes.max(axis=1)
-        least = np.where(classes < 0, labels[:, None], classes).min(axis=1)
-        bad = np.flatnonzero((labels < 0) | (least != labels))
+        candidates = table[..., 0].astype(int)
+        bad = np.flatnonzero((candidates != np.arange(sizes[0])).any(axis=1))
         if bad.size:
             r = int(bad[0])
-            problem = "no row with reward 1" if labels[r] < 0 else "rewarded rows in several classes"
+            raise ValueError(
+                f"{path}: prompt {space.prompts[r]!r} has candidates {candidates[r].tolist()}, "
+                f"not 0..{sizes[0] - 1}"
+            )
+        picks, rewards = table[..., 1].astype(np.intp), table[..., 2].astype(int)
+        classes = space._flat_classes()[picks]
+        labels = np.where(rewards == 1, classes, -1).max(axis=1)
+        bad = np.flatnonzero(labels < 0)
+        if bad.size:
+            raise ValueError(f"{path}: prompt {space.prompts[bad[0]]!r} has no row with reward 1")
+        wrong = np.argwhere(rewards != (classes == labels[:, None]))
+        if wrong.size:
+            r, j = wrong[0].tolist()
+            problem = "rewarded rows in several classes" if rewards[r, j] == 1 else (
+                f"candidate {j} with reward {rewards[r, j]}, "
+                f"but its answer class gives reward {int(classes[r, j] == labels[r])}"
+            )
             raise ValueError(f"{path}: prompt {space.prompts[r]!r} has {problem}")
-        return cls(round_index, space, picks, rewards, table[..., 3], labels)
+        return cls(rounds.pop(), space, picks, rewards, table[..., 3], labels)
 
 
 def _log_weigher(

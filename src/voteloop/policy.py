@@ -23,17 +23,23 @@ arithmetic of `Generator.choice`, so a chain-index draw equals
 `rng.choice(len(p), count, p=p)` bit for bit and leaves the stream in the
 same state. `sample_batch` draws for a whole prompt list from given
 uniforms; each policy builds its CDFs once, as one flat array.
+
+Checkpoints are text with one `prompt<TAB>chain<TAB>float.hex` record per
+chain. `save_policy` builds the hex text of all values at once from their
+IEEE-754 fields and writes the records as one byte matrix, beside keys
+cached on the space; the file is replaced atomically.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .answers import equivalent
 from .rewards import class_ids, vote_classes
-from .util import length_groups, normalize_simplex, row_sums
+from .util import _atomic_write, length_groups, normalize_simplex, row_sums
 
 __all__ = [
     "PromptSpace",
@@ -111,6 +117,11 @@ class PromptSpace:
         )
         # Flat answer-class ids (_flat_classes), built on first use.
         self._flat: np.ndarray | None = None
+        # Text pieces of the round-dataset writer (engine._dataset_text) and
+        # the padded `prompt\tchain\t` keys of the checkpoint writer
+        # (_checkpoint_keys), built on first use.
+        self._dataset_text: tuple | None = None
+        self._checkpoint_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     def __contains__(self, prompt: str) -> bool:
         return prompt in self._chains
@@ -450,24 +461,95 @@ Policy = TabularPolicy | SoftmaxPolicy
 _HEADER = "# voteloop policy v1"
 
 
+def _padded(pieces: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Byte strings as the rows of a zero-padded uint8 matrix, plus the mask
+    of each row's own bytes: `matrix[mask]` is the pieces joined."""
+    lengths = np.array([len(piece) for piece in pieces])
+    width = int(lengths.max(initial=0))
+    padded = b"".join(piece.ljust(width, b"\0") for piece in pieces)
+    mask = np.arange(width) < lengths[:, None]
+    mask.flags.writeable = False
+    return np.frombuffer(padded, np.uint8).reshape(len(pieces), width), mask
+
+
+def _checkpoint_keys(space: PromptSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The `prompt\\tchain\\t` key of every chain, flat in the chain
+    offsets, as `_padded` rows; built once per space."""
+    if space._checkpoint_keys is None:
+        space._checkpoint_keys = _padded(
+            [f"{x}\t{c}\t".encode("utf-8") for x in space.prompts for c in space._chains[x]]
+        )
+    return space._checkpoint_keys
+
+
+@cache
+def _hex_tables() -> tuple:
+    """Pieces of `float.hex`, built on first use:
+
+    - heads by sign * 4 + kind (0 normal, 1 zero or subnormal, 2 infinity,
+      3 NaN, which prints without its sign);
+    - the two hex digits of every byte value, as one uint16;
+    - exponent tails by the biased exponent field (`p-1022` for
+      subnormals, `p-1022` ... `p+1023` for normals, nothing for infinities
+      and NaN) plus row 2048, `p+0`, for zeros, and the tails' lengths;
+    - the mask of the text columns (head, 13 digits, tail, newline) by head
+      and tail length: 13 digits, or 1 for a zero (head `0x0.`, tail `p+0`;
+      a subnormal's tail is `p-1022`), or none for an infinity or NaN.
+    """
+    heads, head_mask = _padded([b"0x1.", b"0x0.", b"inf", b"nan", b"-0x1.", b"-0x0.", b"-inf", b"nan"])
+    digits = np.frombuffer(b"".join(b"%02x" % byte for byte in range(256)), np.uint16)
+    exponents = [b"p%+d" % e for e in range(-1022, 1024)]
+    tails, tail_mask = _padded([b"p-1022", *exponents, b"", b"p+0"])
+    kind, length, column = np.arange(8)[:, None, None] % 4, np.arange(7)[:, None], np.arange(25)
+    count = np.where(kind >= 2, 0, np.where((kind == 1) & (length == 3), 1, 13))
+    masks = (
+        (column < head_mask.sum(axis=1)[:, None, None])
+        | ((column >= 5) & (column < 5 + count))
+        | ((column >= 18) & (column < 18 + length))
+        | (column == 24)
+    )
+    return heads, digits, tails, tail_mask.sum(axis=1), masks
+
+
+def _hex_lines(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`float.hex(v) + "\\n"` for every value, as a padded uint8 matrix and
+    its mask (see `_padded`), assembled from the IEEE-754 fields."""
+    heads, digits, tails, tail_length, masks = _hex_tables()
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    top = (bits >> np.uint64(52)).astype(np.intp)  # sign and exponent field
+    field = top & 0x7FF
+    fraction = (bits & np.uint64((1 << 52) - 1)) != 0
+    head = (top >> 11) * 4 + np.where(field == 0x7FF, 2 + fraction, field == 0)
+    tail = np.where((field == 0) & ~fraction, 2048, field)
+    matrix = np.empty((len(bits), 25), np.uint8)
+    matrix[:, :5] = heads[head]
+    # Big-endian bytes 1..7 hold 4 exponent bits, then the 52 mantissa
+    # bits: their 14 hex digits but the first are the 13 mantissa digits.
+    mantissa = bits.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 1:]
+    matrix[:, 5:18] = digits[mantissa].view(np.uint8)[:, 1:]
+    matrix[:, 18:24] = tails[tail]
+    matrix[:, 24] = ord("\n")
+    return matrix, masks[head, tail_length[tail]]
+
+
 def save_policy(policy: Policy, path) -> None:
     """Checkpoint a policy as flat text, one (prompt, chain, value) per line.
 
-    Values are written as hexadecimal floats, so load_policy restores them
-    bit-for-bit. The records are written in one pass over the flat table.
+    Values are written as hexadecimal floats (`float.hex`), so load_policy
+    restores them bit-for-bit. The records are one padded byte matrix, the
+    space's cached `prompt\\tchain\\t` keys beside each value's hex text,
+    written through its mask. The file is replaced atomically
+    (`util._atomic_write`): an interrupted write leaves the previous file.
     """
-    lines = [_HEADER]
     if isinstance(policy, SoftmaxPolicy):
-        lines.append(f"# kind softmax temperature {policy.temperature.hex()}")
-        values = policy._logits
+        kind, values = f"softmax temperature {policy.temperature.hex()}", policy._logits
     else:
-        lines.append("# kind tabular")
-        values = policy._probs
-    space = policy.space
-    keys = ((x, c) for x in space.prompts for c in space._chains[x])
-    lines.extend(f"{x}\t{c}\t{v.hex()}" for (x, c), v in zip(keys, values.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        kind, values = "tabular", policy._probs
+    with _atomic_write(path) as fh:
+        fh.write(f"{_HEADER}\n# kind {kind}\n".encode())
+        keys, key_mask = _checkpoint_keys(policy.space)
+        text, text_mask = _hex_lines(values)
+        fh.write(np.hstack([keys, text])[np.hstack([key_mask, text_mask])].tobytes())
 
 
 def load_policy(path, space: PromptSpace) -> Policy:

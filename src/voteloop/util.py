@@ -1,9 +1,11 @@
-"""Shared plumbing: named random substreams, simplex helpers and row sums
-over flat per-chain arrays."""
+"""Shared plumbing: named random substreams, simplex helpers, row sums
+over flat per-chain arrays, and atomic file replacement."""
 
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
 from operator import is_
@@ -12,6 +14,27 @@ from typing import Sequence
 import numpy as np
 
 _SEP = "\x1f"
+
+
+@contextmanager
+def _atomic_write(path):
+    """Binary file handle whose bytes replace `path` in one step.
+
+    The bytes go to `<path>.tmp` in the same directory, which `os.replace`
+    moves onto `path` once the block exits cleanly. If the block raises,
+    the temp file is removed and `path` keeps its previous contents. This
+    guards against an interrupted process, not a power cut: nothing is
+    fsync'ed.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _address_digest(seed: int, tags: Sequence[object]) -> bytes:

@@ -107,8 +107,27 @@ class TestGenerateRound:
                 lambda rows: [{**r, "reward": 1} for r in rows],
                 "prompt 'p' has rewarded rows in several classes",
             ),
+            (
+                lambda rows: [rows[0], {**rows[1], "candidate": 0}, *rows[2:]],
+                r"prompt 'p' has candidates \[0, 0, 2, 3\], not 0..3",
+            ),
+            (
+                lambda rows: [{**rows[0], "candidate": 99}, *rows[1:]],
+                r"prompt 'p' has candidates \[1, 2, 3, 99\], not 0..3",
+            ),
+            (
+                lambda rows: [*rows[:-1], {**rows[-1], "round": 2}],
+                r"rows have several round values \[1, 2\]",
+            ),
+            (
+                lambda rows: [{**rows[0], "reward": 0}, *rows[1:]],
+                "prompt 'p' has candidate 0 with reward 0, but its answer class gives reward 1",
+            ),
         ],
-        ids=["prompt", "chain", "answer", "missing-prompt", "counts", "classes"],
+        ids=[
+            "prompt", "chain", "answer", "missing-prompt", "counts", "classes",
+            "duplicate-candidate", "candidate-out-of-range", "rounds", "unrewarded-label",
+        ],
     )
     def test_load_rejects_rows_that_do_not_fit_the_space(self, tmp_path, edit, message):
         space = PromptSpace(
@@ -126,6 +145,23 @@ class TestGenerateRound:
         path.write_text("".join(json.dumps(r) + "\n" for r in edit(rows)), encoding="utf-8")
         with pytest.raises(ValueError, match=r"round\.jsonl: .*" + message):
             OfflineDataset.load(path, space)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        # 130 prompts make three blocks of writes; a pick outside the space
+        # in row 100 fails the second block after the first was written.
+        prompts = [f"p{i}" for i in range(130)]
+        space = PromptSpace(dict.fromkeys(prompts, ("c",)), dict.fromkeys(prompts, {"c": "1"}))
+        picks = np.arange(130)[:, None]
+        rewards, weights, labels = np.ones_like(picks), np.zeros((130, 1)), np.zeros(130, dtype=int)
+        path = tmp_path / "round.jsonl"
+        OfflineDataset(1, space, picks, rewards, weights, labels).save(path)
+        before = path.read_bytes()
+        bad = picks.copy()
+        bad[100, 0] = 10**6
+        with pytest.raises(IndexError):
+            OfflineDataset(2, space, bad, rewards, weights, labels).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["round.jsonl"]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), round_index=st.integers(0, 20))

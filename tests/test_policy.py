@@ -333,7 +333,90 @@ class TestAnswerMarginal:
             assert math.isclose(sum(marg.values()), 1.0, rel_tol=0, abs_tol=1e-12)
 
 
+# IEEE-754 bit patterns that float.hex prints in its own way: signed zeros,
+# the smallest and largest subnormals, the smallest and largest normals,
+# signed infinities, and quiet and signalling NaN of both signs.
+SPECIAL_BITS = [
+    0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEF_FFFF_FFFF_FFFF,
+    0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, (0x7FF << 52) + 1, (0xFFF << 52) + 1,
+]
+IDS = st.text(min_size=1, max_size=6).filter(lambda s: not any(c in s for c in "\t\n\r"))
+
+
+def reference_checkpoint(policy) -> bytes:
+    """A checkpoint written line by line with float.hex."""
+    if isinstance(policy, SoftmaxPolicy):
+        kind, values = f"softmax temperature {policy.temperature.hex()}", policy._logits
+    else:
+        kind, values = "tabular", policy._probs
+    keys = [(x, c) for x in policy.space.prompts for c in policy.space.chains(x)]
+    lines = ["# voteloop policy v1", f"# kind {kind}"]
+    lines += [f"{x}\t{c}\t{v.hex()}" for (x, c), v in zip(keys, values.tolist())]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 class TestCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_BITS)), min_size=1, max_size=64
+        )
+    )
+    def test_hex_text_equals_float_hex(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        matrix, mask = policy_module._hex_lines(values)
+        got = [bytes(row[keep]).decode() for row, keep in zip(matrix, mask)]
+        assert got == [v.hex() + "\n" for v in values.tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chains=st.dictionaries(IDS, st.lists(IDS, min_size=1, max_size=6, unique=True), min_size=1, max_size=5),
+        kind=st.sampled_from(["tabular", "softmax", "softmax-inf"]),
+        temperature=st.sampled_from([1.0, 0.7, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_per_line_reference_and_reload_bit_for_bit(
+        self, tmp_path_factory, chains, kind, temperature, seed
+    ):
+        space = PromptSpace(chains, {x: dict.fromkeys(cs, "a") for x, cs in chains.items()})
+        rng = np.random.default_rng(seed)
+        n = space._bounds[-1]
+        if kind == "tabular":
+            raw = rng.random(n) * (rng.random(n) < 0.7) * 10.0 ** rng.integers(-310, 3, n)
+            raw[space._offsets[:-1]] += 1.0
+            policy = TabularPolicy(space, {x: raw[slice(*space._span(x))] for x in space.prompts})
+        else:
+            logits = rng.normal(0, 30, n)
+            if kind == "softmax-inf":
+                logits[rng.random(n) < 0.4] = -math.inf
+                logits[space._offsets[:-1]] = 0.0
+            policy = SoftmaxPolicy._trusted(space, logits, temperature)
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.policy"
+        save_policy(policy, path)
+        assert path.read_bytes() == reference_checkpoint(policy)
+        if kind == "softmax-inf":
+            return  # load_policy rejects non-finite logits
+        loaded = load_policy(path, space)
+        assert type(loaded) is type(policy)
+        assert loaded._probs.tobytes() == policy._probs.tobytes()
+        if kind == "softmax":
+            assert loaded.temperature == policy.temperature
+            assert loaded._logits.tobytes() == policy._logits.tobytes()
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.policy"
+        save_policy(TabularPolicy.uniform(small_space()), path)
+        before = path.read_bytes()
+
+        def fail(values):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(policy_module, "_hex_lines", fail)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_policy(SoftmaxPolicy.zeros(small_space()), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.policy"]
+
     def test_tabular_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(31)
         space = small_space()
