@@ -10,7 +10,10 @@ inside the numeric fragment.
 
 The parser/evaluator runs under a deterministic step budget instead of a
 wall clock; exhausting the budget falls back to string comparison, so
-results are identical on every machine.
+results are identical on every machine. For the same reason a number
+whose whole or fractional digit run is longer than 4300 digits (CPython's
+default `int()` limit) is opaque, whatever limit `PYTHONINTMAXSTRDIGITS`
+or the Python version sets.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ DEFAULT_STEP_BUDGET = 50_000
 # stop them anyway, this just fails fast with a clean opaque fallback.
 _MAX_EXPONENT = 4096
 
+# Longest digit run a number may have. Longer runs are converted in chunks
+# of _SAFE_DIGITS, the lowest limit an interpreter may set on int(), so
+# that limit never decides a parse.
+_MAX_DIGITS = 4300
+_SAFE_DIGITS = 640
+
 
 @dataclass(frozen=True)
 class ExtractedAnswer:
@@ -47,7 +56,7 @@ class ExtractedAnswer:
     found: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalExpr:
     """Parsed answer: an exact rational value, or an opaque trimmed string."""
 
@@ -145,12 +154,24 @@ def _tokenize(s: str, budget: _Budget) -> list[str]:
     return tokens
 
 
+def _digits(run: str) -> int:
+    if len(run) <= _SAFE_DIGITS:
+        return int(run)
+    if len(run) > _MAX_DIGITS:
+        raise _ParseFailure("digit run too long")
+    value = 0
+    for start in range(0, len(run), _SAFE_DIGITS):
+        chunk = run[start : start + _SAFE_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def _number(tok: str) -> Fraction:
     if "." in tok:
         whole, _, frac = tok.partition(".")
         whole = whole or "0"
-        return Fraction(int(whole) * 10 ** len(frac) + (int(frac) if frac else 0), 10 ** len(frac))
-    return Fraction(int(tok))
+        return Fraction(_digits(whole) * 10 ** len(frac) + (_digits(frac) if frac else 0), 10 ** len(frac))
+    return Fraction(_digits(tok))
 
 
 class _Parser:
@@ -216,12 +237,13 @@ class _Parser:
         return value
 
     def factor(self) -> Fraction:
-        sign = 1
+        negate = False
         while self.peek() in ("+", "-"):
             if self.take() == "-":
-                sign = -sign
+                negate = not negate
             self.budget.charge()
-        return sign * self.power()
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> Fraction:
         base = self.atom()

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -222,10 +223,17 @@ def verify_gradients(count: int = 50, seed: int = 0, h: float = 1e-5) -> SuiteRe
 
 
 def _vote_oracle(answers: Sequence[str]) -> tuple[set[str], int]:
-    """Naive pairwise-count oracle: answers tied for the maximal class count."""
-    counts = [sum(1 for b in answers if equivalent(a, b)) for a in answers]
-    best = max(counts)
-    return {a for a, c in zip(answers, counts) if c == best}, best
+    """Naive pairwise-count oracle: answers tied for the maximal class count.
+
+    Equal strings have equal counts, so each distinct string is counted
+    once, against every distinct string weighted by its multiplicity.
+    """
+    multiplicity = Counter(answers)
+    counts = {
+        a: sum(m for b, m in multiplicity.items() if equivalent(a, b)) for a in multiplicity
+    }
+    best = max(counts.values())
+    return {a for a, c in counts.items() if c == best}, best
 
 
 def _vote_failures(
@@ -315,9 +323,39 @@ _BUILTIN_PAIRS: list[tuple[str, str, bool]] = [
 ]
 
 
+# Characters of the fuzz strings, as UTF-32 code units so a block of picks
+# decodes in one call.
+_FUZZ_POOL = np.array(list("0123456789+-*/^(){}.\\fracboxed$ \t e×÷−·é中"), dtype="<U1")
+_FUZZ_BLOCK = 1024
+
+
+def _fuzz_strings(rng: np.random.Generator, fuzz: int) -> Iterator[str]:
+    """Yield `fuzz` strings of 0-39 characters from `_FUZZ_POOL`.
+
+    Blocks of `_FUZZ_BLOCK` strings are drawn at a time: one `rng.integers`
+    call for the block's lengths, one for all its characters, and one
+    decode of the picked code units, sliced at the cumulative lengths.
+    """
+    for first in range(0, fuzz, _FUZZ_BLOCK):
+        lengths = rng.integers(0, 40, size=min(_FUZZ_BLOCK, fuzz - first))
+        chars = rng.integers(0, len(_FUZZ_POOL), size=int(lengths.sum()))
+        text = _FUZZ_POOL[chars].tobytes().decode("utf-32-le")
+        start = 0
+        for end in np.cumsum(lengths).tolist():
+            yield text[start:end]
+            start = end
+
+
 def verify_answers(count: int = 10_000, fuzz: int = 100_000, seed: int = 0) -> SuiteResult:
     """Built-in pair corpus, random rational triples in three surface forms,
-    first-boxed extraction, and crash-free fuzzing."""
+    first-boxed extraction, and crash-free fuzzing.
+
+    The triples come from the "answers-triples" substream as four arrays of
+    `count` draws, in this order: numerators in [-10**6, 10**6), powers of 2
+    and of 5 in [0, 7) for the denominator, and scales in [1, 10) for the
+    \\frac form. The fuzz strings come from the "answers-fuzz" substream in
+    blocks of 1024 (see `_fuzz_strings`).
+    """
     result = SuiteResult("answers")
 
     failures = [
@@ -329,12 +367,15 @@ def verify_answers(count: int = 10_000, fuzz: int = 100_000, seed: int = 0) -> S
     )
 
     rng = substream(seed, "answers-triples")
+    draws = zip(
+        rng.integers(-10**6, 10**6, size=count).tolist(),
+        rng.integers(0, 7, size=count).tolist(),
+        rng.integers(0, 7, size=count).tolist(),
+        rng.integers(1, 10, size=count).tolist(),
+    )
     bad_triples = 0
-    for _ in range(count):
-        num = int(rng.integers(-10**6, 10**6))
-        den = 2 ** int(rng.integers(0, 7)) * 5 ** int(rng.integers(0, 7))
-        value = Fraction(num, den)
-        scale = int(rng.integers(1, 10))
+    for num, twos, fives, scale in draws:
+        value = Fraction(num, 2**twos * 5**fives)
         forms = [
             render_rational(value, "decimal"),
             f"\\frac{{{value.numerator * scale}}}{{{value.denominator * scale}}}",
@@ -345,6 +386,10 @@ def verify_answers(count: int = 10_000, fuzz: int = 100_000, seed: int = 0) -> S
                 bad_triples += 1
         other = render_rational(value + Fraction(1, 3), "plain")
         if equivalent(forms[0], other):
+            bad_triples += 1
+        # A parser that dropped every minus sign would still match the three
+        # forms to each other; the negated value must not match.
+        if num and equivalent(forms[0], render_rational(-value, "plain")):
             bad_triples += 1
     result.instances.append(InstanceResult(1, bad_triples == 0, {"triples": count, "failures": bad_triples}))
 
@@ -364,15 +409,9 @@ def verify_answers(count: int = 10_000, fuzz: int = 100_000, seed: int = 0) -> S
     ]
     result.instances.append(InstanceResult(2, not bad_extract, {"failures": bad_extract}))
 
-    rng = substream(seed, "answers-fuzz")
     crashes = 0
-    pool = np.array(
-        list("0123456789+-*/^(){}.\\fracboxed$ \t e×÷−·é中")
-    )
     previous = ""
-    for _ in range(fuzz):
-        length = int(rng.integers(0, 40))
-        s = "".join(pool[rng.integers(0, len(pool), size=length)])
+    for s in _fuzz_strings(substream(seed, "answers-fuzz"), fuzz):
         try:
             extract_boxed(s)
             expr = parse_answer(s)

@@ -1,10 +1,18 @@
 """Extraction, parsing, and equivalence of answer strings."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voteloop import answers
 from voteloop.answers import (
@@ -14,6 +22,7 @@ from voteloop.answers import (
     extract_boxed,
     parse_answer,
 )
+from voteloop.verify import _FUZZ_POOL
 
 
 class TestExtractBoxed:
@@ -187,3 +196,80 @@ class TestEquivalent:
             for x, y in itertools.combinations([decimal, frac, plain], 2):
                 assert equivalent(x, y), (x, y)
             assert not equivalent(decimal, f"{num * 7 + 1}/{den * 7}")
+
+
+class _SignMultiplyParser(answers._Parser):
+    """The parser with negation as it was before: each factor multiplied by
+    an integer sign."""
+
+    def factor(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+            self.budget.charge()
+        return sign * self.power()
+
+
+def _parse_outcome(parser, raw, steps):
+    """(CanonicalExpr or "exhausted", steps left) of parsing raw with parser."""
+    budget = answers._Budget(steps)
+    with mock.patch.object(answers, "_Parser", parser):
+        try:
+            expr = answers._parse_with(raw, budget)
+        except answers._BudgetExhausted:
+            expr = "exhausted"
+    return expr, budget.remaining
+
+
+_SIGNS = st.sampled_from(["", "-", "+", "--", "-+-", " - ", "\u2212"])
+_DIGITS = st.integers(0, 10**9).map(str)
+_SIGNED_FORMS = st.one_of(
+    st.text(alphabet=_FUZZ_POOL.tolist(), max_size=39),
+    st.builds(lambda s, w, f: f"{s}{w}.{f}", _SIGNS, _DIGITS, _DIGITS),
+    st.builds(lambda s, a, t, b: f"{s}\\frac{{{t}{a}}}{{{b}}}", _SIGNS, _DIGITS, _SIGNS, _DIGITS),
+    st.builds(lambda s, a, t, b: f"{s}{a}/{t}{b}", _SIGNS, _DIGITS, _SIGNS, _DIGITS),
+)
+
+
+class TestNegation:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_SIGNED_FORMS)
+    def test_flag_equals_sign_multiply(self, raw):
+        for steps in (answers.DEFAULT_STEP_BUDGET, 0, 1, 2, 3, 4, 5):
+            want = _parse_outcome(_SignMultiplyParser, raw, steps)
+            assert _parse_outcome(answers._Parser, raw, steps) == want, (raw, steps)
+
+    def test_repeated_signs(self):
+        assert parse_answer("--3").value == 3
+        assert parse_answer("-+-3/-2").value == Fraction(-3, 2)
+        assert parse_answer("2*-\\frac{1}{4}").value == Fraction(-1, 2)
+
+
+_DIGIT_RUN_PROBE = """
+import json
+from fractions import Fraction
+from voteloop.answers import equivalent, parse_answer
+ones = lambda n: "1" * n
+numeric = [ones(4300), "0." + ones(4300), ones(700) + "0/" + ones(700)]
+opaque = [ones(4301), "0" * 4300 + "1", "0." + ones(4301), ones(4301) + ".5"]
+print(json.dumps([
+    equivalent(ones(5000), "0" + ones(5000)),
+    parse_answer(ones(4300)).value == (10**4300 - 1) // 9,
+    parse_answer("0." + ones(4300)).value == Fraction((10**4300 - 1) // 9, 10**4300),
+    parse_answer(numeric[2]).value == 10,
+    [parse_answer(s).is_numeric for s in numeric + opaque],
+]))
+"""
+
+
+@pytest.mark.parametrize("limit", [None, "0", "640"])
+def test_digit_run_cap_ignores_the_interpreter_int_limit(limit):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(answers.__file__).parents[1])
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGIT_RUN_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [False, True, True, True, [True] * 3 + [False] * 4]
