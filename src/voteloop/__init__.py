@@ -7,7 +7,7 @@ solution, and an answer-equivalence parser make every step checkable
 against independent oracles at desk scale.
 """
 
-from .answers import equivalent, extract_boxed, parse_answer
+from .answers import answer_key, equivalent, extract_boxed, parse_answer
 from .engine import OfflineDataset, RunConfig, RunResult, generate_round, run
 from .fixed_point import (
     FixedPointConfig,
@@ -38,6 +38,7 @@ from .tasks import Corpus, CorpusSpec, make_corpus
 __version__ = "0.1.0"
 
 __all__ = [
+    "answer_key",
     "equivalent",
     "extract_boxed",
     "parse_answer",

@@ -8,12 +8,19 @@ string that compares only by trimmed string equality. There is no float
 anywhere in the comparison path, so equivalence is exact and transitive
 inside the numeric fragment.
 
+So equivalence is equality of `answer_key`: the exact value's (numerator,
+denominator), or the trimmed text of a string that does not parse. Literal
+answers (a signed integer or decimal, `-a/b`, `\\frac{-a}{b}`) skip the token
+parser but charge its steps, so both paths agree under any budget.
+
 The parser/evaluator runs under a deterministic step budget instead of a
 wall clock; exhausting the budget falls back to string comparison, so
 results are identical on every machine. For the same reason a number
 whose whole or fractional digit run is longer than 4300 digits (CPython's
 default `int()` limit) is opaque, whatever limit `PYTHONINTMAXSTRDIGITS`
-or the Python version sets.
+or the Python version sets, and groups (parentheses, braces, `\\frac`,
+braced exponents) nested more than 64 deep are opaque, whatever depth the
+caller's stack is at.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "CanonicalExpr",
     "extract_boxed",
     "parse_answer",
+    "answer_key",
     "equivalent",
 ]
 
@@ -46,6 +54,10 @@ _MAX_EXPONENT = 4096
 # that limit never decides a parse.
 _MAX_DIGITS = 4300
 _SAFE_DIGITS = 640
+
+# Deepest group nesting a parse accepts; the parser recurses per group, so
+# without a cap the caller's stack depth would decide deep parses.
+_MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -174,15 +186,53 @@ def _number(tok: str) -> Fraction:
     return Fraction(_digits(tok))
 
 
+# A literal answer: a signed integer or decimal (groups 1-2), a/b with a
+# signed (groups 1, 3, 4), or \frac{a}{b} with a signed (groups 5-7).
+_LITERAL_RE = re.compile(r"(-?)(?:(\d+\.\d*|\.\d+|\d+)|(\d+)/(\d+))|\\frac\{(-?)(\d+)\}\{(\d+)\}")
+
+
+def _parse_literal(s: str, budget: _Budget) -> Fraction | None:
+    """Value of `s` when it is a literal answer, else None (no charge).
+    Charges what tokenizing and parsing `s` would, in the same order
+    relative to each failure: one per token, the sign once more, and the
+    division's `_Parser._charge_arith` (after the zero check for \\frac,
+    before it for a/b)."""
+    m = _LITERAL_RE.fullmatch(s)
+    if m is None:
+        return None
+    sign, number, num, den, frac_sign, frac_num, frac_den = m.groups()
+    if number is not None:
+        budget.charge(1 + 2 * len(sign))
+        whole, _, frac = number.partition(".")
+        den = 10 ** len(frac)
+        num = _digits(whole or "0") * den + (_digits(frac) if frac else 0)
+    elif num is not None:
+        budget.charge(3 + 2 * len(sign))
+        num, den = _digits(num), _digits(den)
+        budget.charge(1 + (num.bit_length() + den.bit_length() + 2) // 4096)
+        if den == 0:
+            raise _ParseFailure("division by zero")
+    else:
+        sign = frac_sign
+        budget.charge(7 + 2 * len(sign))
+        num, den = _digits(frac_num), _digits(frac_den)
+        if den == 0:
+            raise _ParseFailure("division by zero")
+        budget.charge(1 + (num.bit_length() + den.bit_length() + 2) // 4096)
+    return Fraction(-num if sign else num, den)
+
+
 class _Parser:
     """Recursive descent over: + - * / unary minus, ^ with integer exponent,
     ( ) and { } grouping, \\frac{a}{b}. Every arithmetic op charges the
-    budget in proportion to operand size so pathological inputs terminate."""
+    budget in proportion to operand size so pathological inputs terminate,
+    and groups nest at most _MAX_NESTING deep."""
 
     def __init__(self, tokens: list[str], budget: _Budget):
         self.tokens = tokens
         self.pos = 0
         self.budget = budget
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -197,6 +247,16 @@ class _Parser:
     def expect(self, tok: str) -> None:
         if self.take() != tok:
             raise _ParseFailure(f"expected {tok!r}")
+
+    def group(self, close: str) -> Fraction:
+        """The expression of a group that has just opened, and its `close`."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise _ParseFailure("groups nest too deeply")
+        value = self.expr()
+        self.expect(close)
+        self.depth -= 1
+        return value
 
     def _charge_arith(self, a: Fraction, b: Fraction) -> None:
         size = (
@@ -265,8 +325,7 @@ class _Parser:
         # Integer exponent, optionally braced and optionally signed.
         if self.peek() == "{":
             self.take()
-            value = self.expr()
-            self.expect("}")
+            value = self.group("}")
         else:
             sign = 1
             while self.peek() in ("+", "-"):
@@ -283,20 +342,14 @@ class _Parser:
     def atom(self) -> Fraction:
         tok = self.take()
         if tok == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
+            return self.group(")")
         if tok == "{":
-            value = self.expr()
-            self.expect("}")
-            return value
+            return self.group("}")
         if tok == "\\frac":
             self.expect("{")
-            num = self.expr()
-            self.expect("}")
+            num = self.group("}")
             self.expect("{")
-            den = self.expr()
-            self.expect("}")
+            den = self.group("}")
             if den == 0:
                 raise _ParseFailure("division by zero")
             self._charge_arith(num, den)
@@ -307,16 +360,19 @@ class _Parser:
 
 
 def _parse_with(raw: str, budget: _Budget) -> CanonicalExpr:
-    """parse_answer's body on a caller-owned budget: strip, tokenize and
-    parse `raw`; _BudgetExhausted is left to the caller."""
+    """parse_answer's body on a caller-owned budget: strip `raw`, then read
+    it as a literal or tokenize and parse it; _BudgetExhausted is left to
+    the caller."""
     trimmed = raw.strip()
     try:
         stripped = _strip_answer(raw)
         if not stripped:
             return CanonicalExpr(None, trimmed)
-        tokens = _tokenize(stripped, budget)
-        return CanonicalExpr(_Parser(tokens, budget).parse(), trimmed)
-    except (_ParseFailure, ValueError, OverflowError, RecursionError):
+        value = _parse_literal(stripped, budget)
+        if value is None:
+            value = _Parser(_tokenize(stripped, budget), budget).parse()
+        return CanonicalExpr(value, trimmed)
+    except (_ParseFailure, ValueError, OverflowError):
         return CanonicalExpr(None, trimmed)
 
 
@@ -336,9 +392,12 @@ def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
     """Parse an answer string into an exact rational, or an opaque leaf.
 
     Total function: any input outside the rational grammar (or exceeding
-    the step budget) yields CanonicalExpr(None, trimmed_input). Parses
-    under the default budget are cached, and `equivalent` reads the same
-    cache, so a string parsed here is not parsed again there.
+    the step budget, or nesting groups deeper than 64) yields
+    CanonicalExpr(None, trimmed_input). The nesting cap bounds the stack a
+    parse needs (about 400 frames), so a RecursionError is never read as a
+    result. Parses under the default budget are cached, and `answer_key`
+    and `equivalent` read the same cache, so a string parsed here is not
+    parsed again there.
     """
     if not isinstance(raw, str):
         raw = str(raw)
@@ -347,28 +406,38 @@ def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
     return _parse_fresh(raw, int(step_budget))
 
 
+def answer_key(raw: str) -> tuple[int, int] | str:
+    """Class key of an answer string under the default budget: the exact
+    value's (numerator, denominator) when it parses, else its trimmed text.
+
+    `equivalent(a, b)` is `answer_key(a) == answer_key(b)`: a string's parse
+    depends only on its trimmed text, so equal texts never differ in kind.
+    Read from parse_answer's cache; the key is ints, not a Fraction, because
+    hashing a Fraction costs about as much as the parse.
+    """
+    expr = _parse_default(raw if isinstance(raw, str) else str(raw))
+    value = expr.value
+    return expr.text if value is None else value.as_integer_ratio()
+
+
 def equivalent(a: str, b: str, step_budget: int | None = None) -> bool:
     """Decide whether two answer strings name the same answer.
 
     True when both parse as rationals with equal exact values; otherwise
     falls back to trimmed string equality (also used when the step budget
-    runs out). With the default budget each side is parsed independently
-    (and cached); an explicit step_budget is shared across the pair.
+    runs out). With the default budget this is equality of `answer_key`s,
+    each side parsed independently (and cached); an explicit step_budget is
+    shared across the pair.
     """
-    if not isinstance(a, str):
-        a = str(a)
-    if not isinstance(b, str):
-        b = str(b)
     if step_budget is None:
-        ca = _parse_default(a)
-        cb = _parse_default(b)
-    else:
-        budget = _Budget(step_budget)
-        try:
-            ca = _parse_with(a, budget)
-            cb = _parse_with(b, budget)
-        except _BudgetExhausted:
-            return a.strip() == b.strip()
+        return answer_key(a) == answer_key(b)
+    a, b = str(a), str(b)
+    budget = _Budget(step_budget)
+    try:
+        ca = _parse_with(a, budget)
+        cb = _parse_with(b, budget)
+    except _BudgetExhausted:
+        return a.strip() == b.strip()
     if ca.is_numeric and cb.is_numeric:
         return ca.value == cb.value
     return ca.text == cb.text

@@ -57,6 +57,10 @@ _CORPUS_KEYS = {
 }
 _OTHER_KEYS = {"out_dir": str}
 CONFIG_KEYS = {**_RUN_KEYS, **_CORPUS_KEYS, **_OTHER_KEYS}
+# The JSON values each key type accepts (bool is an int to isinstance, so
+# only bool keys take it), and how an error names them.
+_ACCEPTS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true/false"}
 
 DEFAULT_CONFIG = {
     "out_dir": "voteloop-run",
@@ -87,7 +91,9 @@ def load_config_file(path: str) -> dict:
 
 
 def effective_config(file_cfg: dict, overrides: dict) -> dict:
-    """Defaults <- config file <- command line, rejecting unknown keys."""
+    """Defaults <- config file <- command line, rejecting unknown keys and
+    values of the wrong JSON type (floats are not truncated to ints, nor
+    booleans read as numbers)."""
     config = dict(DEFAULT_CONFIG)
     for field in RunConfig.__dataclass_fields__.values():
         if field.name in _RUN_KEYS:
@@ -99,8 +105,8 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown {source_name} key {key!r}")
             caster = CONFIG_KEYS[key]
-            if caster is bool and not isinstance(value, bool):
-                raise ConfigError(f"key {key!r} must be true/false")
+            if not isinstance(value, _ACCEPTS[caster]) or (caster is not bool and isinstance(value, bool)):
+                raise ConfigError(f"key {key!r} must be {_TYPE_NAMES[caster]}, got {value!r}")
             config[key] = caster(value)
     return config
 

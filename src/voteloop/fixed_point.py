@@ -100,7 +100,7 @@ def _labels_at(
         return generate_round(policy, space, k, seed, round_index=iteration).labels
     labels = np.empty(len(space.prompts), dtype=np.intp)
     for r, prompt in enumerate(space.prompts):
-        lookup = space._class_table(prompt)[1]
+        lookup = dict(zip(space.answers(prompt), space.answer_classes(prompt).tolist()))
         mass: dict[int, float] = {}
         keys: dict[int, str] = {}
         # Class masses are summed in the answers' first-appearance order.

@@ -6,8 +6,9 @@ distribution over its chains, either as an explicit probability table
 (TabularPolicy) or as logits through a temperature softmax (SoftmaxPolicy).
 
 Each chain's answer is fixed, so the space also holds the answer classes:
-one class id per chain, computed once per prompt on first use and cached.
-Votes count these ids instead of comparing answer strings.
+one class id per chain, computed for the whole space in one pass over the
+chains' `answer_key`s on first use and cached. Votes count these ids instead
+of comparing answer strings.
 
 Every per-chain table is one flat float array laid out by the space's chain
 offsets: the chains of the prompt in row r sit at [offsets[r], offsets[r+1]).
@@ -37,8 +38,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .answers import equivalent
-from .rewards import class_ids, vote_classes
+from .answers import answer_key
+from .rewards import vote_classes
 from .util import _atomic_write, length_groups, normalize_simplex, row_sums
 
 __all__ = [
@@ -86,7 +87,6 @@ class PromptSpace:
         self._chains: dict[str, tuple[str, ...]] = {}
         self._answers: dict[str, tuple[str, ...]] = {}
         self._index: dict[str, dict[str, int]] = {}
-        self._classes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
         for prompt, chain_ids in chains.items():
             _check_id("prompt", prompt)
             chain_ids = tuple(_check_id("chain", c) for c in chain_ids)
@@ -115,8 +115,11 @@ class PromptSpace:
         self._pairs = tuple(
             pair for x in self.prompts for pair in zip(self._chains[x], self._answers[x])
         )
-        # Flat answer-class ids (_flat_classes), built on first use.
+        # Flat answer-class ids (_flat_classes), their read-only view per
+        # row, and each row's answer_key -> class id table; built on first use.
         self._flat: np.ndarray | None = None
+        self._class_views: list[np.ndarray] = []
+        self._class_keys: list[dict[tuple[int, int] | str, int]] = []
         # Text pieces of the round-dataset writer (engine._dataset_text) and
         # the padded `prompt\tchain\t` keys of the checkpoint writer
         # (_checkpoint_keys), built on first use.
@@ -144,33 +147,20 @@ class PromptSpace:
     def answer_classes(self, prompt: str) -> np.ndarray:
         """Answer-class id of every chain, in chain order (read-only).
 
-        Chains whose answers are `equivalent` share an id. Computed on first
-        use and cached, so a space that is never voted on pays nothing.
+        Chains whose answers are `equivalent` share an id, numbered by
+        first appearance. Built for the whole space on first use, so a space
+        that is never voted on pays nothing.
         """
-        return self._class_table(prompt)[0]
+        self._require(prompt)
+        self._flat_classes()
+        return self._class_views[self._row[prompt]]
 
     def class_of(self, prompt: str, answer: str) -> int:
         """Class id of the chains whose answers are equivalent to `answer`,
         or -1 when no chain's answer is."""
-        classes, lookup = self._class_table(prompt)
-        cid = lookup.get(answer)
-        if cid is None:
-            cid = next(
-                (int(c) for a, c in zip(self._answers[prompt], classes) if equivalent(a, answer)),
-                -1,
-            )
-            lookup[answer] = cid
-        return cid
-
-    def _class_table(self, prompt: str) -> tuple[np.ndarray, dict[str, int]]:
-        entry = self._classes.get(prompt)
-        if entry is None:
-            self._require(prompt)
-            answers = self._answers[prompt]
-            classes = class_ids(answers)
-            classes.flags.writeable = False
-            entry = self._classes[prompt] = (classes, dict(zip(answers, classes.tolist())))
-        return entry
+        self._require(prompt)
+        self._flat_classes()
+        return self._class_keys[self._row[prompt]].get(answer_key(answer), -1)
 
     def _length_groups(self) -> tuple:
         """`util.length_groups` of the chain offsets, for unmasked
@@ -183,10 +173,20 @@ class PromptSpace:
         return self._groups
 
     def _flat_classes(self) -> np.ndarray:
-        """Answer-class id of every chain, flat in the chain offsets."""
+        """Answer-class id of every chain, flat in the chain offsets: each
+        row numbers its answers' `answer_key`s by first appearance."""
         if self._flat is None:
-            self._flat = np.concatenate([self.answer_classes(x) for x in self.prompts])
-            self._flat.flags.writeable = False
+            keys = [answer_key(answer) for _, answer in self._pairs]
+            ids: list[int] = []
+            spans = list(zip(self._bounds, self._bounds[1:]))
+            for start, end in spans:
+                table: dict[tuple[int, int] | str, int] = {}
+                ids += [table.setdefault(key, len(table)) for key in keys[start:end]]
+                self._class_keys.append(table)
+            flat = np.array(ids, dtype=np.intp)
+            flat.flags.writeable = False
+            self._class_views = [flat[start:end] for start, end in spans]
+            self._flat = flat
         return self._flat
 
     def _vote(

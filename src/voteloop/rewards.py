@@ -1,7 +1,9 @@
 """Majority-vote pseudo-labels, indicator rewards, and reward transforms.
 
 Candidates for a prompt are grouped into answer-equivalence classes (so
-"0.5" and "\\frac{1}{2}" vote together); the class with the most votes is
+"0.5" and "\\frac{1}{2}" vote together): answers with equal
+`answers.answer_key` share a class, and classes are numbered by first
+appearance, so grouping is one dict pass. The class with the most votes is
 the pseudo-label, and each candidate earns reward 1 iff its answer belongs
 to that class. Ties are broken by a seeded uniform draw over the tied
 classes; the recommended stream is keyed on (round, prompt, answer
@@ -10,9 +12,9 @@ change the outcome.
 
 Every vote runs through `vote_classes`, which takes one class id per
 candidate: the training loop and evaluation read those ids from
-`PromptSpace.answer_classes`, computed once per prompt, while
-`majority_vote`, `score_candidates` and `tie_break_stream` derive them from
-`equivalence_classes` on the spot. Votes are counted with `np.bincount`,
+`PromptSpace.answer_classes`, computed once per space, while
+`majority_vote`, `score_candidates` and `tie_break_stream` derive them with
+`class_ids` on the spot. Votes are counted with `np.bincount`,
 and the tie stream is built only when a vote ties; its key is the same as
 when every vote built one eagerly, so outcomes do not change.
 """
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .answers import equivalent
+from .answers import answer_key
 from .util import substream
 
 __all__ = [
@@ -39,8 +41,6 @@ __all__ = [
     "score_candidates",
     "tie_break_stream",
 ]
-
-EquivFn = Callable[[str, str], bool]
 
 _KINDS = ("identity", "exponential", "baseline_shifted")
 
@@ -96,43 +96,19 @@ def log_transform(
     return (reward - base) / transform.beta
 
 
-def equivalence_classes(answers: Sequence[str], equiv: EquivFn = equivalent) -> list[list[int]]:
-    """Group positions of `answers` by pairwise equivalence (union-find).
-
-    Identical strings are pooled up front, so the quadratic pairwise pass
-    runs over distinct strings only; large candidate lists with few distinct
-    answers stay cheap.
-    """
-    distinct: dict[str, list[int]] = {}
+def equivalence_classes(answers: Sequence[str]) -> list[list[int]]:
+    """Positions of `answers` grouped by `answer_key`, in ascending order,
+    the groups in order of first appearance."""
+    groups: dict[tuple[int, int] | str, list[int]] = {}
     for i, a in enumerate(answers):
-        distinct.setdefault(a, []).append(i)
-    keys = list(distinct)
-    parent = list(range(len(keys)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            ri, rj = find(i), find(j)
-            if ri != rj and equiv(keys[i], keys[j]):
-                parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(find(i), []).extend(distinct[key])
-    return [sorted(members) for members in groups.values()]
+        groups.setdefault(answer_key(a), []).append(i)
+    return list(groups.values())
 
 
-def class_ids(answers: Sequence[str], equiv: EquivFn = equivalent) -> np.ndarray:
+def class_ids(answers: Sequence[str]) -> np.ndarray:
     """One class id per answer, numbering the classes of equivalence_classes."""
-    ids = [0] * len(answers)
-    for cid, members in enumerate(equivalence_classes(answers, equiv)):
-        for i in members:
-            ids[i] = cid
-    return np.array(ids, dtype=np.intp)
+    ids: dict[tuple[int, int] | str, int] = {}
+    return np.array([ids.setdefault(answer_key(a), len(ids)) for a in answers], dtype=np.intp)
 
 
 def _class_keys(classes: list[int], answers: Sequence[str]) -> dict[int, str]:
@@ -179,7 +155,6 @@ def vote_classes(
 def majority_vote(
     answers: Sequence[str],
     rng: np.random.Generator,
-    equiv: EquivFn = equivalent,
 ) -> str:
     """Representative of the most frequent answer-equivalence class.
 
@@ -189,7 +164,7 @@ def majority_vote(
     """
     if len(answers) == 0:
         raise ValueError("majority_vote needs at least one answer")
-    return vote_classes(class_ids(answers, equiv), answers, lambda *tags: rng)[1]
+    return vote_classes(class_ids(answers), answers, lambda *tags: rng)[1]
 
 
 def tie_break_stream(
@@ -197,7 +172,6 @@ def tie_break_stream(
     round_index: int,
     prompt: str,
     answers: Sequence[str],
-    equiv: EquivFn = equivalent,
     scope: str = "tie",
 ) -> np.random.Generator:
     """Tie-break stream keyed on (round, prompt, sorted answer-class multiset).
@@ -207,7 +181,7 @@ def tie_break_stream(
     training ties from evaluation ties under one seed. This is the stream
     vote_classes asks for on a tie.
     """
-    classes = class_ids(answers, equiv)
+    classes = class_ids(answers)
     tags = _tie_tags(_class_keys(classes.tolist(), answers), np.bincount(classes).tolist())
     return substream(seed, scope, round_index, prompt, *tags)
 
@@ -235,14 +209,13 @@ class CandidateSet:
 def score_candidates(
     candidates: Sequence[tuple[str, str]],
     rng: np.random.Generator,
-    equiv: EquivFn = equivalent,
     prompt: str = "",
 ) -> CandidateSet:
     """Vote over the candidates' answers and attach indicator rewards."""
     if len(candidates) == 0:
         raise ValueError("score_candidates needs at least one candidate")
     answers = [answer for _, answer in candidates]
-    classes = class_ids(answers, equiv)
+    classes = class_ids(answers)
     winner, majority = vote_classes(classes, answers, lambda *tags: rng)
     rewards = tuple(int(c == winner) for c in classes.tolist())
     return CandidateSet(

@@ -37,32 +37,25 @@ __all__ = [
 ]
 
 
-def _is_terminating(value: Fraction) -> bool:
-    den = value.denominator
-    for base in (2, 5):
-        while den % base == 0:
-            den //= base
-    return den == 1
-
-
 def render_rational(value: Fraction, form: str) -> str:
     """Render an exact rational as 'plain' (a/b), 'frac' (\\frac{a}{b}), or
     'decimal' (exact digits; falls back to plain for non-terminating values)."""
-    if form == "decimal" and _is_terminating(value) and value.denominator != 1:
-        sign = "-" if value < 0 else ""
-        v = abs(value)
-        digits = 0
-        scaled = v
-        while scaled.denominator != 1:
-            scaled *= 10
-            digits += 1
-        text = str(scaled.numerator).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}"
-    if value.denominator == 1:
-        return str(value.numerator)
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    if form == "decimal":
+        # den divides 10**digits exactly when it is 2**twos * 5**fives.
+        twos = (den & -den).bit_length() - 1
+        rest, fives = den >> twos, 0
+        while rest % 5 == 0:
+            rest, fives = rest // 5, fives + 1
+        if rest == 1:
+            digits = max(twos, fives)
+            text = str(abs(num) * (10**digits // den)).rjust(digits + 1, "0")
+            return f"{'-' if num < 0 else ''}{text[:-digits]}.{text[-digits:]}"
     if form == "frac":
-        return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
-    return f"{value.numerator}/{value.denominator}"
+        return f"\\frac{{{num}}}{{{den}}}"
+    return f"{num}/{den}"
 
 
 _FORMS = ("plain", "frac", "decimal")

@@ -18,6 +18,7 @@ from voteloop import answers
 from voteloop.answers import (
     CanonicalExpr,
     ExtractedAnswer,
+    answer_key,
     equivalent,
     extract_boxed,
     parse_answer,
@@ -273,3 +274,114 @@ def test_digit_run_cap_ignores_the_interpreter_int_limit(limit):
         [sys.executable, "-c", _DIGIT_RUN_PROBE], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == [False, True, True, True, [True] * 3 + [False] * 4]
+
+
+def _literal_outcome(raw, steps, literal=True):
+    """(CanonicalExpr or "exhausted", steps left or None) of parsing raw,
+    with the literal path on or off; steps left are compared for numeric
+    results only, since an exhausted parse may stop at any charge."""
+    budget = answers._Budget(steps)
+    off = lambda s, budget: None  # noqa: E731
+    with mock.patch.object(answers, "_parse_literal", answers._parse_literal if literal else off):
+        try:
+            expr = answers._parse_with(raw, budget)
+        except answers._BudgetExhausted:
+            return "exhausted", None
+    return expr, budget.remaining if expr.is_numeric else None
+
+
+_RUNS = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.sampled_from(["0", "00", "000", "007", "0100", "1" * 4300, "1" * 4301, "0" * 4300 + "1", "9" * 700]),
+    st.text(alphabet="0123456789٠٣٩０７", min_size=1, max_size=8),
+)
+_SIGN = st.sampled_from(["", "-"])
+_LITERALS = st.one_of(
+    st.builds(lambda s, w: f"{s}{w}", _SIGN, _RUNS),
+    st.builds(lambda s, w, f: f"{s}{w}.{f}", _SIGN, _RUNS, _RUNS),
+    st.builds(lambda s, w: f"{s}{w}.", _SIGN, _RUNS),
+    st.builds(lambda s, f: f"{s}.{f}", _SIGN, _RUNS),
+    st.builds(lambda s, a, b: f"{s}{a}/{b}", _SIGN, _RUNS, _RUNS),
+    st.builds(lambda s, a, b: f"\\frac{{{s}{a}}}{{{b}}}", _SIGN, _RUNS, _RUNS),
+)
+# Literal forms as answers are written: padded, in $...$, or in \left...\right.
+_DRESSED_LITERALS = st.builds(
+    lambda wrap, lit: wrap.format(lit),
+    st.sampled_from(["{}", " {} ", "${}$", "\\left{}\\right", "{} ", "-{}", "({})", "{}+0"]),
+    _LITERALS,
+)
+_ANSWERS = st.one_of(st.text(alphabet=_FUZZ_POOL.tolist(), max_size=39), _DRESSED_LITERALS)
+
+
+class TestLiteralPath:
+    def test_literal_forms_take_the_literal_path(self):
+        def literal(s):
+            try:
+                return answers._parse_literal(s, answers._Budget(100))
+            except answers._ParseFailure:
+                return "zero denominator"
+
+        assert [literal(s) for s in ["12", "-12", "12.", "-.5", "0.250", "٣٠", "3/4", "\\frac{-3}{4}"]] == [
+            12, -12, 12, Fraction(-1, 2), Fraction(1, 4), 30, Fraction(3, 4), Fraction(-3, 4)
+        ]
+        assert literal("-7/0") == literal("\\frac{3}{00}") == "zero denominator"
+        for s in ["--3", "- 3", "3/-4", "-\\frac{1}{2}", "1.2.3", "1/2/3", "\u22123", "1.5/2", ""]:
+            assert literal(s) is None, s
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_ANSWERS)
+    def test_equals_the_token_parser_under_every_budget(self, raw):
+        for steps in (answers.DEFAULT_STEP_BUDGET, *range(13)):
+            assert _literal_outcome(raw, steps) == _literal_outcome(raw, steps, literal=False), (raw, steps)
+
+    def test_digit_runs_at_and_past_the_cap(self):
+        for run, numeric in (("1" * 4300, True), ("1" * 4301, False)):
+            for raw in (run, f"-{run}", f"0.{run}", f"{run}/7", f"\\frac{{-1}}{{{run}}}"):
+                outcome = _literal_outcome(raw, answers.DEFAULT_STEP_BUDGET)
+                assert outcome == _literal_outcome(raw, answers.DEFAULT_STEP_BUDGET, literal=False)
+                assert outcome[0].is_numeric is numeric
+
+
+class TestAnswerKey:
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ("0.5", (1, 2)),
+            ("\\frac{-6}{4}", (-3, 2)),
+            ("  7 ", (7, 1)),
+            ("x+1 ", "x+1"),
+            ("1/0", "1/0"),
+            ("", ""),
+        ],
+    )
+    def test_value_or_trimmed_text(self, raw, key):
+        assert answer_key(raw) == key
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_ANSWERS, b=_ANSWERS, pad=st.sampled_from(["", " ", "\t", "  "]))
+    def test_equivalent_is_key_equality(self, a, b, pad):
+        for x, y in ((a, b), (a, pad + a + pad), (b, f"${b}$")):
+            assert equivalent(x, y) == (answer_key(x) == answer_key(y)), (x, y)
+
+
+def _at_stack_depth(frames, fn):
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+_NESTINGS = {
+    "parens": lambda d: "(" * d + "1" + ")" * d,
+    "braces": lambda d: "{" * d + "1" + "}" * d,
+    "frac": lambda d: "\\frac{" * d + "1" + "}{1}" * d,
+    "exponent": lambda d: "1^{" * d + "1" + "}" * d,
+}
+
+
+@pytest.mark.parametrize("depth", [answers._MAX_NESTING, answers._MAX_NESTING + 1, 190])
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_cap_decides_deep_parses_at_any_stack_depth(shape, depth):
+    raw = _NESTINGS[shape](depth)
+    want = depth <= answers._MAX_NESTING
+    for frames in (0, 500, 0):
+        answers._parse_default.cache_clear()
+        got = _at_stack_depth(frames, lambda: (parse_answer(raw).is_numeric, equivalent(raw, "1")))
+        assert got == (want, want), frames

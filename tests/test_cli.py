@@ -71,6 +71,28 @@ class TestRun:
         cfg.write_text(json.dumps({"rounds": 1, "workers": 2}))  # the removed parallelism knob
         assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"rounds": 2.9}, {"k": True}, {"k": "ten"}],
+        ids=["float-for-int", "bool-for-int", "str-for-int"],
+    )
+    def test_config_value_of_the_wrong_type_is_rejected(self, bad, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus_n_train": 10, "corpus_n_test": 4, **bad}))
+        out = tmp_path / "x"
+        assert run_cli(["run", "--config", cfg, "--out-dir", out]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [{"beta": True}, {"transform": 1}, {"warm_start": 1}])
+    def test_float_str_and_bool_keys_check_their_type(self, bad):
+        with pytest.raises(cli.ConfigError, match=repr(next(iter(bad)))):
+            cli.effective_config(bad, {})
+
+    def test_int_values_are_accepted_for_float_keys(self):
+        config = cli.effective_config({"beta": 1, "transform": "exponential"}, {})
+        assert config["beta"] == 1.0 and isinstance(config["beta"], float)
+
     def test_bad_config_value_is_usage_error(self, tmp_path):
         assert run_cli(["run", "--rounds", "0", "--out-dir", tmp_path / "x"]) == 2
 

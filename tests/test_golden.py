@@ -1,4 +1,5 @@
-"""Golden artifacts: pinned sha256 digests of two small runs.
+"""Golden artifacts: pinned sha256 digests of two small runs and of the
+five `verify` suites' `--out` reports.
 
 The digests cover every byte of `checkpoints/` and `datasets/`, so they
 pin the whole random-stream contract: sampling substreams, vote tie-breaks
@@ -6,7 +7,8 @@ pin the whole random-stream contract: sampling substreams, vote tie-breaks
 reward weights and both update backends. `metrics.csv` and `summary.json`
 pin the evaluation: the maj@1/maj@k votes, mean entropies, realized
 objectives and the best round. A change that moves any of them must say
-so and re-record the digests below.
+so and re-record the digests below. The verify reports (seed 0) pin each
+suite's instances and their detail, byte for byte.
 """
 
 import hashlib
@@ -61,3 +63,27 @@ def test_run_artifacts_match_golden_digests(name, tmp_path, capsys):
     for file in ("metrics.csv", "summary.json"):
         got[file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
     assert got == GOLDEN[name]
+
+
+VERIFY_RUNS = {
+    "closedform": ["--count", "20"],
+    "proposition1": ["--count", "20"],
+    "gradients": ["--count", "20"],
+    "votes": [],
+    "answers": ["--count", "500", "--fuzz", "2000"],
+}
+
+GOLDEN_VERIFY = {
+    "closedform": "0406fb90339dfc4e23648e76e527d7263716bbfa4c7567d00f4a16f0909bd760",
+    "proposition1": "119f0e3ca94fdf6e652dd9471d38c17722628c0e9318366a1afdc44c11f92182",
+    "gradients": "d62dd9d248f0d4041d341e331e8555688e342a97c79be56e86a53624075864c5",
+    "votes": "33e494787a2fb96857165833b8184dc11f5659ab040e7ec98bcea150ce9a8a9e",
+    "answers": "26ad86bf25e9a4cfe856e17f2f99baffc36b0698be0363f7330af78d86561af0",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_RUNS))
+def test_verify_reports_match_golden_digests(suite, tmp_path, capsys):
+    out = tmp_path / f"{suite}.jsonl"
+    assert main(["verify", suite, *VERIFY_RUNS[suite], "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VERIFY[suite]

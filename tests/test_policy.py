@@ -232,15 +232,17 @@ class TestAnswerClasses:
         assert space.class_of("p", "7") == -1
 
     def test_computed_once_on_first_use(self, monkeypatch):
+        # One answer_key per chain of the whole space on first use, then one
+        # per class_of lookup.
         calls = []
-        real = policy_module.class_ids
-        monkeypatch.setattr(policy_module, "class_ids", lambda a: calls.append(a) or real(a))
+        real = policy_module.answer_key
+        monkeypatch.setattr(policy_module, "answer_key", lambda a: calls.append(a) or real(a))
         space = small_space()
         assert calls == []
         first = space.answer_classes("p0")
         assert space.answer_classes("p0") is first
         space.class_of("p0", "b")
-        assert calls == [("a", "b", "a")]
+        assert calls == ["a", "b", "a", "4", "5", "b"]
 
     def test_unknown_prompt(self):
         with pytest.raises(KeyError):

@@ -234,7 +234,7 @@ class TestVoteClasses:
         answers = [letters[i] for i in idx]
         winner, majority, asked = vote_over_space(space, idx, seed, round_index)
 
-        # The union-find path: same winner, same tie-stream address.
+        # The class_ids path: same winner, same tie-stream address.
         assert majority == majority_vote(answers, tie_break_stream(seed, round_index, "p", answers))
         if asked:
             (tags,) = asked

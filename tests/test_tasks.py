@@ -24,7 +24,38 @@ def small_spec(**kwargs):
     return CorpusSpec(**defaults)
 
 
+def _render_rational_by_fraction_loop(value, form):
+    """render_rational as it was before its integer decimal form: scale by
+    10 as a Fraction until the denominator is 1."""
+    den = value.denominator
+    for base in (2, 5):
+        while den % base == 0:
+            den //= base
+    if form == "decimal" and den == 1 and value.denominator != 1:
+        sign = "-" if value < 0 else ""
+        digits, scaled = 0, abs(value)
+        while scaled.denominator != 1:
+            scaled *= 10
+            digits += 1
+        text = str(scaled.numerator).rjust(digits + 1, "0")
+        return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    if value.denominator == 1:
+        return str(value.numerator)
+    if form == "frac":
+        return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+    return f"{value.numerator}/{value.denominator}"
+
+
 class TestRenderRational:
+    def test_equals_the_fraction_loop_on_random_values(self):
+        rng = np.random.default_rng(23)
+        dens = [1, 2, 5, 8, 25, 40, 3, 6, 7, 12, 15, 2**9 * 5**3, 2**40, 5**30, 3 * 2**10]
+        for _ in range(3_000):
+            num = int(rng.integers(-10**9, 10**9)) * int(rng.choice([1, 10, 10**12]))
+            value = Fraction(num, int(rng.choice(dens)) * int(rng.integers(1, 4)))
+            for form in ("plain", "frac", "decimal"):
+                assert render_rational(value, form) == _render_rational_by_fraction_loop(value, form)
+
     @pytest.mark.parametrize(
         "value, form, text",
         [

@@ -38,7 +38,10 @@ def test_fuzz_strings_use_the_whole_pool():
     assert set("".join(strings)) == set(_FUZZ_POOL.tolist())
 
 
-def test_sign_dropping_parser_fails_the_triples(monkeypatch):
+def _answers_suite_with(monkeypatch, drop_literal_sign):
+    """verify_answers (200 triples, no fuzz) with a parser that drops every
+    minus sign in `_Parser.factor`, and in the literal path if asked."""
+
     def factor_without_negation(self):
         while self.peek() in ("+", "-"):
             self.take()
@@ -46,9 +49,24 @@ def test_sign_dropping_parser_fails_the_triples(monkeypatch):
         return self.power()
 
     monkeypatch.setattr(answers._Parser, "factor", factor_without_negation)
+    if drop_literal_sign:
+        literal = answers._parse_literal
+        monkeypatch.setattr(
+            answers, "_parse_literal", lambda s, budget: None if (v := literal(s, budget)) is None else abs(v)
+        )
     answers._parse_default.cache_clear()
     try:
-        suite = verify_answers(count=200, fuzz=0)
+        return verify_answers(count=200, fuzz=0)
     finally:
         answers._parse_default.cache_clear()
-    assert not suite.instances[1].passed
+
+
+def test_sign_dropping_parser_fails_the_triples(monkeypatch):
+    assert not _answers_suite_with(monkeypatch, drop_literal_sign=True).instances[1].passed
+
+
+def test_factor_only_sign_dropping_fails_the_builtin_pairs(monkeypatch):
+    # Literal answers keep their sign, so "-\\frac{1}{2}" (token parser) and
+    # "-0.5" (literal) disagree.
+    suite = _answers_suite_with(monkeypatch, drop_literal_sign=False)
+    assert not suite.instances[0].passed and not suite.passed
