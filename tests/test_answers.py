@@ -281,8 +281,8 @@ def _literal_outcome(raw, steps, literal=True):
     with the literal path on or off; steps left are compared for numeric
     results only, since an exhausted parse may stop at any charge."""
     budget = answers._Budget(steps)
-    off = lambda s, budget: None  # noqa: E731
-    with mock.patch.object(answers, "_parse_literal", answers._parse_literal if literal else off):
+    path = answers._parse_literal if literal else (lambda s, budget: None)
+    with mock.patch.object(answers, "_parse_literal", path):
         try:
             expr = answers._parse_with(raw, budget)
         except answers._BudgetExhausted:
@@ -304,7 +304,8 @@ _LITERALS = st.one_of(
     st.builds(lambda s, a, b: f"{s}{a}/{b}", _SIGN, _RUNS, _RUNS),
     st.builds(lambda s, a, b: f"\\frac{{{s}{a}}}{{{b}}}", _SIGN, _RUNS, _RUNS),
 )
-# Literal forms as answers are written: padded, in $...$, or in \left...\right.
+# Literal forms as answers are written (padded, in $...$, in \left...\right)
+# and inside larger expressions, which the token parser reads.
 _DRESSED_LITERALS = st.builds(
     lambda wrap, lit: wrap.format(lit),
     st.sampled_from(["{}", " {} ", "${}$", "\\left{}\\right", "{} ", "-{}", "({})", "{}+0"]),
