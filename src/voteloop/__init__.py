@@ -19,7 +19,6 @@ from .metrics import RoundReport, emit_metrics, maj_at_k, make_eval_hook
 from .optim import (
     GradientConfig,
     SolveReport,
-    WeightedSample,
     closed_form_update,
     objective_gradient,
     product_form_oracle,
@@ -57,7 +56,6 @@ __all__ = [
     "make_eval_hook",
     "GradientConfig",
     "SolveReport",
-    "WeightedSample",
     "closed_form_update",
     "objective_gradient",
     "product_form_oracle",

@@ -41,7 +41,6 @@ _RUN_KEYS = {
     "beta": float,
     "seed": int,
     "backend": str,
-    "warm_start": bool,
     "eval_k": int,
     "eval_samples": int,
 }
@@ -57,10 +56,10 @@ _CORPUS_KEYS = {
 }
 _OTHER_KEYS = {"out_dir": str}
 CONFIG_KEYS = {**_RUN_KEYS, **_CORPUS_KEYS, **_OTHER_KEYS}
-# The JSON values each key type accepts (bool is an int to isinstance, so
-# only bool keys take it), and how an error names them.
-_ACCEPTS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true/false"}
+# The JSON values each key type accepts (bool is an int to isinstance, and
+# no key takes it), and how an error names them.
+_ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 DEFAULT_CONFIG = {
     "out_dir": "voteloop-run",
@@ -105,7 +104,7 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown {source_name} key {key!r}")
             caster = CONFIG_KEYS[key]
-            if not isinstance(value, _ACCEPTS[caster]) or (caster is not bool and isinstance(value, bool)):
+            if not isinstance(value, _ACCEPTS[caster]) or isinstance(value, bool):
                 raise ConfigError(f"key {key!r} must be {_TYPE_NAMES[caster]}, got {value!r}")
             config[key] = caster(value)
     return config
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--beta", type=float)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--backend", choices=["tabular", "softmax"])
-    p_run.add_argument("--cold-start", dest="warm_start", action="store_false", default=None)
     p_run.add_argument("--eval-k", dest="eval_k", type=int)
     p_run.add_argument("--eval-samples", dest="eval_samples", type=int)
     p_run.add_argument("--corpus-n-train", dest="corpus_n_train", type=int)

@@ -32,13 +32,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .metrics import RoundReport, best_round_of
-from .optim import (
-    WeightedSample,
-    _realized_objective,
-    _stack_weights,
-    _tilt_policy,
-    solve_gradient,
-)
+from .optim import _realized_objective, _stack_weights, _tilt_policy, solve_gradient
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import RewardTransform, log_transform
 from .util import _atomic_write, substream, substream_random
@@ -69,7 +63,6 @@ class RunConfig:
     beta: float = 0.1
     seed: int = 0
     backend: str = "tabular"
-    warm_start: bool = True
     eval_k: int | None = None
     eval_samples: int = 1
 
@@ -127,11 +120,10 @@ class OfflineDataset:
     log_weights: np.ndarray
     labels: np.ndarray
 
-    def weighted_samples(self) -> list[WeightedSample]:
-        """Every pick as a WeightedSample, row by row in pick order."""
-        pairs = self.space._pairs
-        rows = zip(self.space.prompts, self.picks.tolist(), self.log_weights.tolist())
-        return [WeightedSample(x, pairs[i][0], lw) for x, at, lws in rows for i, lw in zip(at, lws)]
+    def weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """The round's samples as `optim.solve_gradient` takes them: the
+        picks' flat chain indices and their log-weights."""
+        return self.picks, self.log_weights
 
     def save(self, path) -> None:
         """One JSON object per candidate, in the bytes `json.dumps` writes
@@ -431,9 +423,7 @@ def run(
             result.weight_history.append(log_w)
             policy, degenerate, objective = _update_tabular(policy, log_w)
         else:
-            samples = dataset.weighted_samples()
-            start = policy if config.warm_start else pi0
-            policy, solve_report = solve_gradient(start, samples)
+            policy, solve_report = solve_gradient(policy, *dataset.weighted_samples())
             objective = solve_report.objective_value
             solver = {
                 "iterations": solve_report.iterations,

@@ -13,12 +13,15 @@ and iterating it for m rounds telescopes into the product form
     p_m(c)  proportional to  (prod_j weight_j(c)) * p_0(c),
 
 which product_form_oracle evaluates directly as an independent check on
-the iterated path. For softmax policies the same objective is ascended by
-natural-gradient steps with a monotone (backtracking) line search. All
-prompts of a round ascend together: their logits and per-chain weights sit
-in one padded [prompts, chains] array, every prompt keeps its own step size
-and line search, and prompts that converge or stall are masked out while
-the rest continue.
+the iterated path. For softmax policies the samples are a round's own
+arrays, flat chain indices and log-weights, counted per chain by one
+bincount, and the same objective is ascended by natural-gradient steps with
+a monotone (backtracking) line search. All prompts of a round ascend
+together: their logits and counts sit in one padded [prompts, chains]
+array, every prompt keeps its own step size and line search, and prompts
+that converge or stall are masked out while the rest continue. The row
+functions on that array (objective, gradient, step, supremum) are what
+weighted_mle_objective, objective_gradient and `verify gradients` use.
 
 A prompt with per-chain weight counts cnt (total N) has its optimum at
 softmax = cnt/N, with supremum sup = sum_{cnt_c>0} cnt_c log(cnt_c/N). The
@@ -50,7 +53,6 @@ from .util import TINY_PROB, row_sums
 
 __all__ = [
     "DegeneratePromptError",
-    "WeightedSample",
     "SolveReport",
     "GradientConfig",
     "tilt_distribution",
@@ -70,23 +72,6 @@ class DegeneratePromptError(ValueError):
         self.prompt = prompt
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """One drawn (prompt, chain) with the log of its transformed reward.
-
-    log_weight = -inf encodes an exactly-zero weight (identity transform on
-    reward 0); such samples contribute exactly 0 to objectives/gradients.
-    """
-
-    prompt: str
-    chain: str
-    log_weight: float
-
-    def __post_init__(self):
-        if math.isnan(self.log_weight) or self.log_weight == math.inf:
-            raise ValueError("log_weight must be finite or -inf")
-
-
 @dataclass
 class SolveReport:
     objective_value: float
@@ -102,8 +87,9 @@ class SolveReport:
 def _as_log(weights: np.ndarray, log: bool) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if log:
-        if np.any(np.isnan(w)) or np.any(w == np.inf):
-            raise ValueError("log-weights must be finite or -inf")
+        bad = np.flatnonzero(np.isnan(w) | (w == np.inf))
+        if bad.size:
+            raise ValueError(f"log-weight {w.flat[bad[0]]} at entry {bad[0]} must be finite or -inf")
         return w
     if np.any(~np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
@@ -161,16 +147,21 @@ def _stack_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat log-weights from a prompt -> per-chain weights mapping
     (log-weights when log=True), and the mask of the rows it covers; the
-    other rows get log-weight 0."""
+    other rows get log-weight 0. A key that is not a prompt of the space
+    raises KeyError naming the first such key."""
     lens = np.diff(space._offsets).tolist()
     fill = 0.0 if log else 1.0
     rows = [weights.get(x) for x in space.prompts]
+    covered = np.array([w is not None for w in rows])
+    if len(weights) > covered.sum():
+        unknown = next(x for x in weights if x not in space)
+        raise KeyError(f"weights given for prompt {unknown!r}, which is not in the space")
     parts = [
         np.full(n, fill) if w is None else np.asarray(w, dtype=float) for w, n in zip(rows, lens)
     ]
     if any(part.shape != (n,) for part, n in zip(parts, lens)):
         raise ValueError("weights and distribution shapes differ")
-    return _as_log(np.concatenate(parts), log), np.array([w is not None for w in rows])
+    return _as_log(np.concatenate(parts), log), covered
 
 
 def _tilt_policy(
@@ -248,65 +239,51 @@ def product_form_oracle(
     return policy
 
 
-def weighted_mle_objective(policy: SoftmaxPolicy, samples: Sequence[WeightedSample]) -> float:
-    """sum of weight * log pi(chain|prompt) over samples.
-
-    Zero-weight samples contribute exactly 0 even where log pi = -inf; a
-    positive weight on a zero-probability chain makes the objective -inf
-    (reported, never raised).
-    """
-    total = 0.0
-    for s in samples:
-        if s.log_weight == -math.inf:
-            continue
-        p = policy.prob(s.prompt, s.chain)
-        if p == 0.0:
-            return -math.inf
-        total += math.exp(s.log_weight) * math.log(p)
-    return total
-
-
-def _group_counts(space, samples: Sequence[WeightedSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Total sample weight landing on each chain, flat in the space's chain
-    offsets, and which prompts have samples.
-
-    One bincount over flat chain indices adds each sample's math.exp weight
-    in sample order, as a per-sample loop adds them (a -inf log-weight adds
-    +0.0, which leaves a nonnegative sum's bits alone).
-    """
-    rows, index, bounds = space._row, space._index, space._bounds
-    try:
-        at = [bounds[rows[s.prompt]] + index[s.prompt][s.chain] for s in samples]
-    except KeyError:
-        for s in samples:
-            space.chain_index(s.prompt, s.chain)  # raises naming the sample
-        raise
-    counts = np.bincount(
-        np.array(at, dtype=np.intp),
-        np.array([math.exp(s.log_weight) for s in samples]),
-        minlength=bounds[-1],
-    )
-    present = np.zeros(len(space.prompts), dtype=bool)
-    present[np.searchsorted(space._offsets, at, side="right") - 1] = True
-    return counts, present
+def _prompt_rows(
+    policy: SoftmaxPolicy, chains, log_weights
+) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
+    """The space rows of the prompts that have samples (flat chain indices
+    and their log-weights, arrays of one shape), with each one's logits and
+    per-chain weight counts. One bincount adds the weights in input order,
+    as a per-sample loop does; each is math.exp of its log-weight, taken once
+    per distinct bit pattern (-inf adds +0.0, which leaves the sums' bits)."""
+    space, at = policy.space, np.asarray(chains)
+    lw = _as_log(log_weights, log=True)
+    if at.shape != lw.shape:
+        raise ValueError(f"chain indices {at.shape} and log-weights {lw.shape} differ in shape")
+    if at.size and at.dtype.kind not in "iu":
+        raise ValueError(f"chain indices must be integers, got dtype {at.dtype}")
+    at, n = at.ravel().astype(np.intp), space._bounds[-1]
+    bad = np.flatnonzero((at < 0) | (at >= n)).tolist()
+    if bad:
+        raise ValueError(f"chain index {at[bad[0]]} at entry {bad[0]} is outside 0..{n - 1}")
+    codes, inverse = np.unique(lw.ravel().view(np.uint64), return_inverse=True)
+    weights = np.array([math.exp(v) for v in codes.view(np.float64).tolist()])
+    counts = np.bincount(at, weights[inverse], minlength=n)
+    rows = np.unique(np.searchsorted(space._offsets, at, side="right") - 1).tolist()
+    spans = [slice(space._bounds[r], space._bounds[r + 1]) for r in rows]
+    return rows, [policy._logits[at] for at in spans], [counts[at] for at in spans]
 
 
-def objective_gradient(
-    policy: SoftmaxPolicy, samples: Sequence[WeightedSample]
-) -> dict[str, np.ndarray]:
-    """Analytic gradient of weighted_mle_objective w.r.t. each prompt's logits.
+def weighted_mle_objective(policy: SoftmaxPolicy, chains, log_weights) -> float:
+    """sum of weight * log pi(chain|prompt) over the samples (flat chain
+    indices and their log-weights): the solver's objective rows, added in
+    prompt order. Zero weights add exactly 0; a positive weight on a
+    zero-probability chain gives -inf (reported, never raised)."""
+    _, logits, counts = _prompt_rows(policy, chains, log_weights)
+    if not logits:
+        return 0.0
+    return float(sum(_objective_rows(*_pad_rows(logits, counts), policy.temperature).tolist()))
 
-    Per prompt: (counts - total_weight * softmax(logits/T)) / T, where
-    counts[c] is the summed weight of samples hitting chain c.
-    """
-    space = policy.space
-    counts, present = _group_counts(space, samples)
-    grads: dict[str, np.ndarray] = {}
-    for r in np.flatnonzero(present).tolist():
-        cnt = counts[space._bounds[r] : space._bounds[r + 1]]
-        p = policy.distribution(space.prompts[r])
-        grads[space.prompts[r]] = (cnt - cnt.sum() * p) / policy.temperature
-    return grads
+
+def objective_gradient(policy: SoftmaxPolicy, chains, log_weights) -> dict[str, np.ndarray]:
+    """Gradient of weighted_mle_objective w.r.t. the logits of each prompt
+    with samples: the solver's gradient rows."""
+    rows, logits, counts = _prompt_rows(policy, chains, log_weights)
+    if not rows:
+        return {}
+    grads = _gradient_rows(*_pad_rows(logits, counts), policy.temperature)
+    return {policy.space.prompts[r]: grads[i, : len(logits[i])] for i, r in enumerate(rows)}
 
 
 @dataclass(frozen=True)
@@ -352,6 +329,42 @@ def _objective_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.nd
     return np.matmul(cnt[:, None, :], logp[:, :, None])[:, 0, 0]
 
 
+def _gradient_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.ndarray:
+    """Per row, the gradient of _objective_rows w.r.t. z:
+    (cnt - N * softmax(z)) / T, with N the row's total count."""
+    return (cnt - _row_sum(cnt)[:, None] * _softmax_rows(z, temperature)) / temperature
+
+
+def _direction_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.ndarray:
+    """Per row, the natural-gradient step T * (cnt / (N p) - 1), zero where
+    p == 0; its dot with the gradient row is sum (cnt - N p)^2 / (N p). A
+    row with N == 0 gets NaN, but its certificate holds from the start."""
+    p = _softmax_rows(z, temperature)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, temperature * (cnt / (_row_sum(cnt)[:, None] * p) - 1.0), 0.0)
+
+
+def _sup_rows(cnt: np.ndarray) -> np.ndarray:
+    """Per row, the supremum of the objective: sum over cnt_c > 0 of
+    cnt_c * log(cnt_c / N), added left to right."""
+    total = _row_sum(cnt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _row_sum(np.where(cnt > 0, cnt * np.log(cnt / total[:, None]), 0.0))
+
+
+def _pad_rows(
+    logits: Sequence[np.ndarray], counts: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows stacked into [rows, widest] arrays, padded with -inf logits and
+    zero counts, which contribute exact zeros to every row function."""
+    z = np.full((len(logits), max(len(row) for row in logits)), -np.inf)
+    cnt = np.zeros_like(z)
+    for i, (row, c) in enumerate(zip(logits, counts)):
+        z[i, : len(row)] = row
+        cnt[i, : len(row)] = c
+    return z, cnt
+
+
 def _solve_batch(
     logits: Sequence[np.ndarray],
     counts: Sequence[np.ndarray],
@@ -361,26 +374,18 @@ def _solve_batch(
     """Ascend every prompt's objective at once; returns one (logits,
     grad_norm, iters, converged, objective trace, note) tuple per prompt.
 
-    Rows are padded to the widest prompt with -inf logits and zero counts,
-    which contribute exact zeros to every row reduction. A row leaves the
-    active set once its certificate holds (sup - objective <= tolerance *
-    N, sup computed once per row), its line search stalls, or it runs out
-    of iterations. Each row keeps its own step size along the natural
-    gradient; grad_norm is the final gradient max-norm, for the record.
+    Rows are padded (`_pad_rows`). A row leaves the active set once its
+    certificate holds (sup - objective <= tolerance * N, sup computed once
+    per row), its line search stalls, or it runs out of iterations. Each
+    row keeps its own step size along `_direction_rows`; grad_norm is the
+    final gradient row's max-norm, for the record.
     """
     n = len(logits)
     if n == 0:
         return []
-    widths = [len(row) for row in logits]
-    z = np.full((n, max(widths)), -np.inf)
-    cnt = np.zeros_like(z)
-    for i, (row, c) in enumerate(zip(logits, counts)):
-        z[i, : widths[i]] = row
-        cnt[i, : widths[i]] = c
-    total = _row_sum(cnt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sup = _row_sum(np.where(cnt > 0, cnt * np.log(cnt / total[:, None]), 0.0))
-    bound = config.gap_tolerance * total
+    z, cnt = _pad_rows(logits, counts)
+    sup = _sup_rows(cnt)
+    bound = config.gap_tolerance * _row_sum(cnt)
     obj = _objective_rows(z, cnt, temperature)
     traces = [[v] for v in obj.tolist()]
     iterations = np.zeros(n, dtype=int)
@@ -395,11 +400,7 @@ def _solve_batch(
         live = live[~(sup[live] - obj[live] <= bound[live])]
         if live.size == 0:
             break
-        p = _softmax_rows(z[live], temperature)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direction = np.where(
-                p > 0, temperature * (cnt[live] / (total[live, None] * p) - 1.0), 0.0
-            )
+        direction = _direction_rows(z[live], cnt[live], temperature)
         finite = np.all(np.isfinite(direction), axis=1)
         for i in live[~finite]:
             notes[i] = "non-finite step direction"
@@ -427,11 +428,10 @@ def _solve_batch(
             notes[i] = STALL_NOTE
         live = rows[accepted]
     converged = sup - obj <= bound
-    p = _softmax_rows(z, temperature)
-    grad_norm = np.max(np.abs(cnt - total[:, None] * p), axis=1) / temperature
+    grad_norm = np.max(np.abs(_gradient_rows(z, cnt, temperature)), axis=1)
     return [
         (
-            z[i, : widths[i]].copy(),
+            z[i, : len(logits[i])].copy(),
             float(grad_norm[i]),
             int(iterations[i]),
             bool(converged[i]),
@@ -455,10 +455,12 @@ def _solve_prompt(
 
 def solve_gradient(
     policy: SoftmaxPolicy,
-    samples: Sequence[WeightedSample],
+    chains,
+    log_weights,
     config: GradientConfig = GradientConfig(),
 ) -> tuple[SoftmaxPolicy, SolveReport]:
-    """Maximize the weighted log-likelihood over softmax logits.
+    """Maximize the weighted log-likelihood over softmax logits, for samples
+    given as flat chain indices and log-weights (arrays of one shape).
 
     Per-prompt subproblems are independent and ascended together in one
     batch; the report aggregates the worst gradient norm and iteration
@@ -468,22 +470,14 @@ def solve_gradient(
     final objectives in prompt order.
     """
     space = policy.space
-    counts, present = _group_counts(space, samples)
-    rows = np.flatnonzero(present).tolist()
-    spans = [slice(space._bounds[r], space._bounds[r + 1]) for r in rows]
-    results = _solve_batch(
-        [policy._logits[at] for at in spans],
-        [counts[at] for at in spans],
-        policy.temperature,
-        config,
-    )
+    rows, logits, counts = _prompt_rows(policy, chains, log_weights)
+    results = _solve_batch(logits, counts, policy.temperature, config)
     solved = policy
-    if spans:
-        logits = policy._logits.copy()
-        for at, (z, *_) in zip(spans, results):
-            logits[at] = z
-        solved = SoftmaxPolicy._trusted(space, logits, policy.temperature)
-    prompts = [space.prompts[r] for r in rows]
+    if rows:
+        new = policy._logits.copy()
+        for r, (z, *_) in zip(rows, results):
+            new[space._bounds[r] : space._bounds[r + 1]] = z
+        solved = SoftmaxPolicy._trusted(space, new, policy.temperature)
     report = SolveReport(
         objective_value=float(sum(r[4][-1] for r in results)),
         grad_norm=max((r[1] for r in results), default=0.0),
@@ -491,7 +485,7 @@ def solve_gradient(
         converged=all(r[3] for r in results),
         unconverged=sum(not r[3] for r in results),
         stalled=sum(r[5] == STALL_NOTE for r in results),
-        note="; ".join(f"{x}: {r[5]}" for x, r in zip(prompts, results) if r[5]),
+        note="; ".join(f"{space.prompts[x]}: {r[5]}" for x, r in zip(rows, results) if r[5]),
         objective_trace=[v for r in results for v in r[4]],
     )
     return solved, report

@@ -59,7 +59,7 @@ CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 def _check_id(kind: str, value: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{kind} identifier must be a nonempty string, got {value!r}")
-    if any(c in value for c in "\t\n\r"):
+    if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{kind} identifier {value!r} contains tab/newline")
     return value
 

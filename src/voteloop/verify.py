@@ -1,10 +1,11 @@
 """Randomized oracle suites behind the `verify` command.
 
 Each suite builds random instances, checks an implementation path against an
-independent oracle (closed form vs. iterated updates, analytic vs. numerical
-gradients, the flat counting vote vs. naive pairwise counting, parser vs.
-known pairs), and reports one pass/fail per instance plus machine-readable
-detail.
+independent oracle (closed form vs. iterated updates, the softmax solver's
+gradient, step and certificate rows vs. finite differences, ascent and a
+plain-Python supremum, the flat counting vote vs. naive pairwise counting,
+parser vs. known pairs), and reports one pass/fail per instance plus
+machine-readable detail.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .answers import ExtractedAnswer, equivalent, extract_boxed, parse_answer
 from .fixed_point import check_fixed_point_equivalence
-from .optim import WeightedSample, closed_form_update, objective_gradient, product_form_oracle, weighted_mle_objective
+from .optim import _direction_rows, _gradient_rows, _objective_rows, _pad_rows, _prompt_rows
+from .optim import _sup_rows, closed_form_update, product_form_oracle
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy
 from .tasks import render_rational
 from .util import substream
@@ -184,7 +186,15 @@ def verify_fixed_point_equivalence(
 
 
 def verify_gradients(count: int = 50, seed: int = 0, h: float = 1e-5) -> SuiteResult:
-    """Analytic objective gradient vs. central finite differences."""
+    """The softmax solver's own row functions (`optim`) on random instances
+    of 3-19 weighted samples, counted and padded as the solver does. An
+    instance passes when central finite differences of `_objective_rows`
+    match `_gradient_rows` (relative error < 1e-5), the step
+    `_direction_rows` ascends (dot with the gradient >= 0 on every row with
+    weight, the rows the solver steps on), and `_sup_rows` equals
+    sum n_c log(n_c/N) over counts added in plain Python (relative error
+    <= 1e-12), with no objective row above it.
+    """
     result = SuiteResult("gradients")
     worst = 0.0
     for idx in range(count):
@@ -193,32 +203,38 @@ def verify_gradients(count: int = 50, seed: int = 0, h: float = 1e-5) -> SuiteRe
         logits = {x: rng.normal(0, 1.5, len(space.chains(x))) for x in space.prompts}
         temperature = float(rng.uniform(0.5, 2.0))
         policy = SoftmaxPolicy(space, logits, temperature)
-        samples = []
+        chains, log_weights, reference = [], [], {}
         for _ in range(int(rng.integers(3, 20))):
-            prompt = space.prompts[int(rng.integers(len(space.prompts)))]
-            chain = space.chains(prompt)[int(rng.integers(len(space.chains(prompt))))]
+            r = int(rng.integers(len(space.prompts)))
+            j = int(rng.integers(len(space.chains(space.prompts[r]))))
             lw = -math.inf if rng.random() < 0.1 else float(np.log(rng.uniform(0.1, 5.0)))
-            samples.append(WeightedSample(prompt, chain, lw))
-
-        analytic = objective_gradient(policy, samples)
-        max_rel = 0.0
-        for prompt, grad in analytic.items():
-            base = logits[prompt]
-            for j in range(len(base)):
-                up = dict(logits)
-                down = dict(logits)
-                up[prompt] = base.copy()
-                up[prompt][j] += h
-                down[prompt] = base.copy()
-                down[prompt][j] -= h
-                f_up = weighted_mle_objective(SoftmaxPolicy(space, up, temperature), samples)
-                f_dn = weighted_mle_objective(SoftmaxPolicy(space, down, temperature), samples)
-                numeric = (f_up - f_dn) / (2 * h)
-                rel = abs(grad[j] - numeric) / max(1.0, abs(grad[j]), abs(numeric))
-                max_rel = max(max_rel, rel)
+            chains.append(space._bounds[r] + j)
+            log_weights.append(lw)
+            reference.setdefault(r, [0.0] * len(space.chains(space.prompts[r])))[j] += math.exp(lw)
+        rows, z_rows, cnt_rows = _prompt_rows(policy, np.array(chains), np.array(log_weights))
+        z, cnt = _pad_rows(z_rows, cnt_rows)
+        grad, numeric = _gradient_rows(z, cnt, temperature), np.empty_like(z)
+        for j, e in enumerate(h * np.eye(z.shape[1])):  # column j of every row moved at once
+            up, down = (_objective_rows(z + s * e, cnt, temperature) for s in (1.0, -1.0))
+            numeric[:, j] = (up - down) / (2 * h)
+        scale = np.maximum(1.0, np.maximum(abs(grad), abs(numeric)))
+        max_rel = float(np.max(abs(grad - numeric) / scale))
+        dots = np.sum(_direction_rows(z, cnt, temperature) * grad, axis=1)[cnt.sum(axis=1) > 0]
+        sup = _sup_rows(cnt)
+        want = [sum(c * math.log(c / sum(reference[r])) for c in reference[r] if c > 0) for r in rows]
+        detail = {
+            "max_rel_err": max_rel,
+            "min_ascent": min(dots.tolist(), default=0.0),
+            "sup_rel_err": max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(sup.tolist(), want)),
+            "objective_le_sup": bool(np.all(_objective_rows(z, cnt, temperature) <= sup)),
+        }
+        ok = max_rel < 1e-5 and detail["min_ascent"] >= 0 and detail["sup_rel_err"] <= 1e-12
         worst = max(worst, max_rel)
-        result.instances.append(InstanceResult(idx, max_rel < 1e-5, {"max_rel_err": max_rel}))
-    result.notes.append(f"max relative error {worst:.3e} (tolerance 1e-5, h={h:g})")
+        result.instances.append(InstanceResult(idx, ok and detail["objective_le_sup"], detail))
+    result.notes.append(
+        f"max relative gradient error {worst:.3e} (tolerance 1e-5, h={h:g}); "
+        "step ascent and the certificate's supremum checked on every instance"
+    )
     return result
 
 

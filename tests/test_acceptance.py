@@ -14,7 +14,7 @@ from voteloop.cli import main as cli_main
 from voteloop.engine import RunConfig, run
 from voteloop.fixed_point import kl_fixed_point
 from voteloop.metrics import make_eval_hook
-from voteloop.optim import GradientConfig, WeightedSample, solve_gradient
+from voteloop.optim import GradientConfig, solve_gradient
 from voteloop.policy import PromptSpace, SoftmaxPolicy, TabularPolicy
 from voteloop.tasks import CorpusSpec, make_corpus
 from voteloop.util import substream, total_variation
@@ -150,8 +150,7 @@ def test_criterion_05_solver_optimality():
         )
         policy = SoftmaxPolicy(space, {"p": rng.normal(0, 1.0, n)})
         weights = rng.uniform(0.2, 5.0, n)
-        samples = [WeightedSample("p", f"c{j}", float(np.log(weights[j]))) for j in range(n)]
-        solved, report = solve_gradient(policy, samples, GradientConfig())
+        solved, report = solve_gradient(policy, np.arange(n), np.log(weights), GradientConfig())
         worst_tv = max(worst_tv, total_variation(solved.distribution("p"), weights / weights.sum()))
         trace = report.objective_trace
         monotone = monotone and all(b >= a for a, b in zip(trace, trace[1:]))

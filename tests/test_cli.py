@@ -71,6 +71,16 @@ class TestRun:
         cfg.write_text(json.dumps({"rounds": 1, "workers": 2}))  # the removed parallelism knob
         assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
 
+    def test_echoed_config_with_the_removed_warm_start_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus_n_train": 10, "corpus_n_test": 4, "warm_start": True}))
+        out = tmp_path / "x"
+        assert run_cli(["run", "--config", cfg, "--out-dir", out]) == 2
+        assert "config error: unknown config file key 'warm_start'" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit):
+            run_cli(["run", "--cold-start", "--out-dir", out])
+
     @pytest.mark.parametrize(
         "bad",
         [{"rounds": 2.9}, {"k": True}, {"k": "ten"}],
@@ -84,7 +94,7 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", [{"beta": True}, {"transform": 1}, {"warm_start": 1}])
+    @pytest.mark.parametrize("bad", [{"beta": True}, {"transform": 1}])
     def test_float_str_and_bool_keys_check_their_type(self, bad):
         with pytest.raises(cli.ConfigError, match=repr(next(iter(bad)))):
             cli.effective_config(bad, {})

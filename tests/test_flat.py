@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voteloop.engine import _update_tabular
-from voteloop.optim import DegeneratePromptError, WeightedSample, _group_counts, closed_form_update
+from voteloop.optim import (
+    DegeneratePromptError,
+    _prompt_rows,
+    closed_form_update,
+    objective_gradient,
+    solve_gradient,
+    weighted_mle_objective,
+)
 from voteloop.policy import (
     TABULAR_SUM_TOL,
     PromptSpace,
@@ -288,12 +295,13 @@ class TestFlatSoftmax:
 
 
 def reference_counts(space: PromptSpace, samples) -> dict[str, np.ndarray]:
-    """Per prompt with samples, the weight on each chain added one sample at a time."""
+    """Per prompt with samples, the weight on each chain added one
+    (prompt, chain, log-weight) sample at a time."""
     counts: dict[str, np.ndarray] = {}
-    for s in samples:
-        cnt = counts.setdefault(s.prompt, np.zeros(len(space.chains(s.prompt))))
-        if s.log_weight != -math.inf:
-            cnt[space.chain_index(s.prompt, s.chain)] += math.exp(s.log_weight)
+    for prompt, chain, log_weight in samples:
+        cnt = counts.setdefault(prompt, np.zeros(len(space.chains(prompt))))
+        if log_weight != -math.inf:
+            cnt[space.chain_index(prompt, chain)] += math.exp(log_weight)
     return counts
 
 
@@ -301,24 +309,45 @@ class TestGroupCounts:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_equals_per_sample_loop(self, data):
-        space, _ = softmax_inputs(data)
+        space, logits = softmax_inputs(data)
         log_weight = st.one_of(st.just(-math.inf), st.floats(-30.0, 5.0))
         picks = st.tuples(st.sampled_from(space.prompts), st.integers(0, 19), log_weight)
         samples = [
-            WeightedSample(x, space.chains(x)[j % len(space.chains(x))], lw)
+            (x, space.chains(x)[j % len(space.chains(x))], lw)
             for x, j, lw in data.draw(st.lists(picks, max_size=60))
         ]
-        counts, present = _group_counts(space, samples)
+        chains = [space._bounds[space._row[x]] + space.chain_index(x, c) for x, c, _ in samples]
+        log_weights = [lw for *_, lw in samples]
+        shape = data.draw(st.sampled_from(["flat", "column"]))
+        if shape == "column":  # a [samples, 1] block, as a round's [prompts, k] arrays are 2-D
+            chains, log_weights = np.array(chains).reshape(-1, 1), np.array(log_weights).reshape(-1, 1)
+        policy = SoftmaxPolicy(space, logits)
+        rows, row_logits, counts = _prompt_rows(policy, np.array(chains, dtype=np.intp), np.array(log_weights))
         want = reference_counts(space, samples)
-        assert [x for x, has in zip(space.prompts, present) if has] == [x for x in space.prompts if x in want]
-        for x in space.prompts:
-            got = counts[slice(*space._span(x))]
-            assert got.tobytes() == want.get(x, np.zeros(len(got))).tobytes()
+        assert [space.prompts[r] for r in rows] == [x for x in space.prompts if x in want]
+        for r, z, got in zip(rows, row_logits, counts):
+            assert z.tobytes() == policy.logits(space.prompts[r]).tobytes()
+            assert got.tobytes() == want[space.prompts[r]].tobytes()
 
-    def test_unknown_chain_is_named(self):
-        space = PromptSpace({"p": ("A", "B")}, {"p": {"A": "a", "B": "b"}})
-        with pytest.raises(KeyError, match="unknown chain 'C'"):
-            _group_counts(space, [WeightedSample("p", "A", 0.0), WeightedSample("p", "C", 0.0)])
+    def test_bad_chain_indices_are_named(self):
+        space = PromptSpace({"p": ("A", "B"), "q": ("A",)}, {"p": {"A": "a", "B": "b"}, "q": {"A": "a"}})
+        policy = SoftmaxPolicy(space, {"p": (0.0, 0.0), "q": (0.0,)})
+        bad = [
+            ([0, 3], [0.0, 0.0], r"chain index 3 at entry 1 is outside 0\.\.2"),
+            ([[0, 1], [-1, 2]], [[0.0] * 2] * 2, r"chain index -1 at entry 2 is outside 0\.\.2"),
+            ([0, 1, 2], [0.0, 0.0], r"chain indices \(3,\) and log-weights \(2,\) differ in shape"),
+            ([0.0, 1.0], [0.0, 0.0], "chain indices must be integers"),
+        ]
+        entries = [
+            lambda c, w: _prompt_rows(policy, c, w),
+            lambda c, w: solve_gradient(policy, c, w),
+            lambda c, w: weighted_mle_objective(policy, c, w),
+            lambda c, w: objective_gradient(policy, c, w),
+        ]
+        for chains, log_weights, message in bad:
+            for entry in entries:
+                with pytest.raises(ValueError, match=message):
+                    entry(np.array(chains), np.array(log_weights))
 
 
 class TestLengthGroups:

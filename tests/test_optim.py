@@ -11,10 +11,14 @@ from voteloop.optim import (
     STALL_NOTE,
     DegeneratePromptError,
     GradientConfig,
-    WeightedSample,
-    _group_counts,
+    _direction_rows,
+    _gradient_rows,
+    _objective_rows,
+    _pad_rows,
+    _prompt_rows,
     _solve_batch,
     _solve_prompt,
+    _sup_rows,
     closed_form_update,
     objective_gradient,
     product_form_oracle,
@@ -28,6 +32,13 @@ from voteloop.util import total_variation
 
 def two_chain_space():
     return PromptSpace({"p": ("A", "B")}, {"p": {"A": "a", "B": "b"}})
+
+
+def sample_arrays(space, samples):
+    """(prompt, chain, log-weight) triples as the solver's arrays: flat
+    chain indices and log-weights."""
+    chains = [space._bounds[space._row[x]] + space.chain_index(x, c) for x, c, _ in samples]
+    return np.array(chains, dtype=np.intp), np.array([lw for *_, lw in samples], dtype=float)
 
 
 def make_space(rng, max_prompts=8, max_chains=8):
@@ -70,6 +81,13 @@ class TestClosedFormUpdate:
         new = closed_form_update(pi0, {})
         for x in space.prompts:
             assert np.array_equal(new.distribution(x), pi0.distribution(x))
+
+    def test_unknown_prompt_key_raises(self):
+        pi0 = TabularPolicy.uniform(two_chain_space())
+        with pytest.raises(KeyError, match="'q'"):
+            closed_form_update(pi0, {"q": (1.0, 5.0)})
+        with pytest.raises(KeyError, match="'r'"):
+            closed_form_update(pi0, {"p": (1.0, 5.0), "r": (1.0,), "q": (2.0, 1.0)}, log=True)
 
     def test_degenerate_prompt_raises(self):
         pi0 = TabularPolicy(two_chain_space(), {"p": (1.0, 0.0)})
@@ -123,6 +141,11 @@ class TestProductFormOracle:
         assert final.prob("p", "A") == pytest.approx(0.9999999979388464, abs=1e-12)
         assert final.prob("p", "B") == pytest.approx(2.0611536181902037e-09, rel=1e-9)
 
+    def test_unknown_prompt_key_raises(self):
+        pi0 = TabularPolicy.uniform(two_chain_space())
+        with pytest.raises(KeyError, match="'q'"):
+            product_form_oracle(pi0, [{"p": (1.0, 2.0)}, {"p": (1.0, 2.0), "q": (1.0, 5.0)}])
+
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             product_form_oracle(TabularPolicy.uniform(two_chain_space()), [])
@@ -172,38 +195,52 @@ class TestObjective:
 
     def test_all_zero_weights(self):
         policy = self.space_policy((0.5, 0.5))
-        samples = [WeightedSample("p", "A", -math.inf)] * 4
-        assert weighted_mle_objective(policy, samples) == 0.0
+        chains, lw = sample_arrays(policy.space, [("p", "A", -math.inf)] * 4)
+        assert weighted_mle_objective(policy, chains, lw) == 0.0
 
     def test_single_term(self):
         policy = self.space_policy((0.5, 0.5))
-        assert weighted_mle_objective(policy, [WeightedSample("p", "A", 0.0)]) == pytest.approx(
-            -0.6931471805599453, abs=1e-12
-        )
+        assert weighted_mle_objective(policy, [0], [0.0]) == pytest.approx(-0.6931471805599453, abs=1e-12)
 
     def test_hand_sum(self):
         space = PromptSpace({"p": ("A", "B", "C", "D")}, {"p": {c: c for c in "ABCD"}})
         policy = SoftmaxPolicy(space, {"p": np.log([0.5, 0.25, 0.125, 0.125])})
-        samples = [
-            WeightedSample("p", "A", math.log(2.0)),
-            WeightedSample("p", "B", 0.0),
-        ]
-        assert weighted_mle_objective(policy, samples) == pytest.approx(
-            -2.772588722239781, abs=1e-10
-        )
+        chains, lw = sample_arrays(space, [("p", "A", math.log(2.0)), ("p", "B", 0.0)])
+        assert weighted_mle_objective(policy, chains, lw) == pytest.approx(-2.772588722239781, abs=1e-10)
 
     def test_zero_probability_with_positive_weight_reports_minus_inf(self):
         space = two_chain_space()
         policy = SoftmaxPolicy(space, {"p": (800.0, 0.0)})  # B underflows to 0
         assert policy.prob("p", "B") == 0.0
-        samples = [WeightedSample("p", "B", 0.0)]
-        assert weighted_mle_objective(policy, samples) == -math.inf
+        assert weighted_mle_objective(policy, [1], [0.0]) == -math.inf
 
-    def test_weighted_sample_validation(self):
-        with pytest.raises(ValueError):
-            WeightedSample("p", "A", math.inf)
-        with pytest.raises(ValueError):
-            WeightedSample("p", "A", math.nan)
+    def test_no_samples(self):
+        policy = self.space_policy((0.5, 0.5))
+        assert weighted_mle_objective(policy, [], []) == 0.0
+        assert objective_gradient(policy, [], []) == {}
+
+    def test_public_functions_are_the_solver_rows(self):
+        rng = np.random.default_rng(29)
+        space = make_space(rng, max_prompts=6)
+        policy = SoftmaxPolicy(space, {x: rng.normal(0, 1, len(space.chains(x))) for x in space.prompts}, 0.8)
+        chains = rng.integers(0, space._bounds[-1], 30)
+        lw = np.where(rng.random(30) < 0.2, -np.inf, rng.normal(0, 1, 30))
+        rows, row_logits, counts = _prompt_rows(policy, chains, lw)
+        z, cnt = _pad_rows(row_logits, counts)
+        objective = _objective_rows(z, cnt, 0.8)
+        assert weighted_mle_objective(policy, chains, lw) == float(sum(objective.tolist()))
+        grads = objective_gradient(policy, chains, lw)
+        assert list(grads) == [space.prompts[r] for r in rows]
+        for g, full, c in zip(grads.values(), _gradient_rows(z, cnt, 0.8), counts):
+            assert g.tobytes() == full[: len(c)].tobytes()
+
+    def test_bad_log_weights_are_named(self):
+        policy = self.space_policy((0.5, 0.5))
+        entries = [solve_gradient, weighted_mle_objective, objective_gradient]
+        for fn in entries:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"log-weight {bad} at entry 1 must be finite or -inf"):
+                    fn(policy, [0, 1], [0.0, bad])
 
 
 class TestGradient:
@@ -225,8 +262,9 @@ class TestGradient:
                 p = f"p{int(rng.integers(n_prompts))}"
                 c = chains[p][int(rng.integers(len(chains[p])))]
                 lw = -math.inf if rng.random() < 0.15 else float(np.log(rng.uniform(0.2, 4.0)))
-                samples.append(WeightedSample(p, c, lw))
-            grads = objective_gradient(policy, samples)
+                samples.append((p, c, lw))
+            at, lws = sample_arrays(space, samples)
+            grads = objective_gradient(policy, at, lws)
             for p, grad in grads.items():
                 for j in range(len(grad)):
                     up, dn = dict(logits), dict(logits)
@@ -234,8 +272,8 @@ class TestGradient:
                     up[p][j] += h
                     dn[p] = logits[p].copy()
                     dn[p][j] -= h
-                    f_up = weighted_mle_objective(SoftmaxPolicy(space, up, temperature), samples)
-                    f_dn = weighted_mle_objective(SoftmaxPolicy(space, dn, temperature), samples)
+                    f_up = weighted_mle_objective(SoftmaxPolicy(space, up, temperature), at, lws)
+                    f_dn = weighted_mle_objective(SoftmaxPolicy(space, dn, temperature), at, lws)
                     numeric = (f_up - f_dn) / (2 * h)
                     rel = abs(grad[j] - numeric) / max(1.0, abs(grad[j]), abs(numeric))
                     worst = max(worst, rel)
@@ -244,31 +282,40 @@ class TestGradient:
     def test_zero_at_matched_distribution(self):
         space = two_chain_space()
         policy = SoftmaxPolicy(space, {"p": np.log([0.75, 0.25])})
-        samples = [
-            WeightedSample("p", "A", math.log(3.0)),
-            WeightedSample("p", "B", math.log(1.0)),
-        ]
-        grad = objective_gradient(policy, samples)["p"]
+        grad = objective_gradient(policy, [0, 1], [math.log(3.0), math.log(1.0)])["p"]
         assert np.max(np.abs(grad)) < 1e-12
+
+    def test_direction_ascends_and_sup_bounds_the_objective(self):
+        rng = np.random.default_rng(31)
+        z = rng.normal(0, 2, (40, 7))
+        cnt = rng.uniform(0.1, 3.0, (40, 7)) * (rng.random((40, 7)) < 0.6)
+        cnt[:, 0] += 0.5
+        dots = np.sum(_direction_rows(z, cnt, 1.3) * _gradient_rows(z, cnt, 1.3), axis=1)
+        assert np.all(dots > 0)
+        sup = _sup_rows(cnt)
+        assert np.all(_objective_rows(z, cnt, 1.3) < sup)
+        for row, value in zip(cnt.tolist(), sup.tolist()):
+            total = sum(row)
+            assert value == pytest.approx(sum(c * math.log(c / total) for c in row if c > 0), rel=1e-13)
+        # At the optimum softmax(z / T) = cnt / N the gradient and the step vanish.
+        with np.errstate(divide="ignore"):
+            opt = 1.3 * np.log(cnt)
+        assert np.max(np.abs(_gradient_rows(opt, cnt, 1.3))) < 1e-12
+        assert np.max(np.abs(_direction_rows(opt, cnt, 1.3))) < 1e-12
 
 
 class TestSolveGradient:
     def test_stationary_start_converges_immediately(self):
         space = two_chain_space()
         policy = SoftmaxPolicy(space, {"p": np.log([0.75, 0.25])})
-        samples = [
-            WeightedSample("p", "A", math.log(3.0)),
-            WeightedSample("p", "B", math.log(1.0)),
-        ]
-        solved, report = solve_gradient(policy, samples)
+        solved, report = solve_gradient(policy, [0, 1], [math.log(3.0), math.log(1.0)])
         assert report.converged
         assert report.iterations == 0
 
     def test_drives_all_mass_to_rewarded_chain(self):
         space = two_chain_space()
         policy = SoftmaxPolicy(space, {"p": (0.0, 0.0)})
-        samples = [WeightedSample("p", "A", 0.0), WeightedSample("p", "B", -math.inf)]
-        solved, report = solve_gradient(policy, samples, GradientConfig(max_iters=300))
+        solved, report = solve_gradient(policy, [0, 1], [0.0, -math.inf], GradientConfig(max_iters=300))
         assert solved.prob("p", "A") > 0.999
         assert all(b >= a for a, b in zip(report.objective_trace, report.objective_trace[1:]))
 
@@ -335,7 +382,7 @@ class TestSolveGradient:
             {"p0": {"A": "a", "B": "b"}, "p1": {"A": "a", "B": "b"}},
         )
         policy = SoftmaxPolicy(space, {"p0": (1.0, -1.0), "p1": (0.3, 0.4)})
-        solved, _ = solve_gradient(policy, [WeightedSample("p0", "A", 0.0)])
+        solved, _ = solve_gradient(policy, [0], [0.0])
         assert np.array_equal(solved.logits("p1"), policy.logits("p1"))
 
     @settings(max_examples=30, deadline=None)
@@ -352,16 +399,17 @@ class TestSolveGradient:
             chains[f"p{i}"] = tuple(f"c{j}" for j in range(n))
             logits[f"p{i}"] = data.draw(st.lists(logit, min_size=n, max_size=n))
             for j in range(n):
-                samples.append(WeightedSample(f"p{i}", f"c{j}", data.draw(log_weight)))
+                samples.append((f"p{i}", f"c{j}", data.draw(log_weight)))
         space = PromptSpace(chains, {p: {c: c for c in cs} for p, cs in chains.items()})
         policy = SoftmaxPolicy(space, logits, temperature)
         config = GradientConfig(max_iters=200)
 
-        solved, report = solve_gradient(policy, samples, config)
-        counts, _ = _group_counts(space, samples)
+        chain_at, log_weights = sample_arrays(space, samples)
+        solved, report = solve_gradient(policy, chain_at, log_weights, config)
+        rows, row_logits, counts = _prompt_rows(policy, chain_at, log_weights)
+        assert rows == list(range(len(space.prompts)))
         alone = {
-            x: _solve_prompt(policy.logits(x), counts[slice(*space._span(x))], temperature, config)
-            for x in space.prompts
+            x: _solve_prompt(z, c, temperature, config) for x, z, c in zip(space.prompts, row_logits, counts)
         }
         for x, (z, *_) in alone.items():
             assert np.array_equal(solved.logits(x), z)

@@ -34,6 +34,20 @@ class TestPromptSpace:
         with pytest.raises(KeyError):
             PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "a"}})
 
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "\r"])
+    def test_rejects_separators_in_ids(self, bad):
+        with pytest.raises(ValueError, match="contains tab/newline"):
+            PromptSpace({bad: ("c0",)}, {bad: {"c0": "a"}})
+        with pytest.raises(ValueError, match="contains tab/newline"):
+            PromptSpace({"p": ("c0", bad)}, {"p": {"c0": "a", bad: "b"}})
+
+    @pytest.mark.parametrize("bad", ["", 3, None])
+    def test_rejects_empty_or_non_string_ids(self, bad):
+        with pytest.raises(ValueError, match="must be a nonempty string"):
+            PromptSpace({bad: ("c0",)}, {bad: {"c0": "a"}})
+        with pytest.raises(ValueError, match="must be a nonempty string"):
+            PromptSpace({"p": ("c0", bad)}, {"p": {"c0": "a", bad: "b"}})
+
     def test_unknown_lookups_raise(self):
         space = small_space()
         with pytest.raises(KeyError):
