@@ -76,7 +76,7 @@ VERIFY_RUNS = {
 GOLDEN_VERIFY = {
     "closedform": "0406fb90339dfc4e23648e76e527d7263716bbfa4c7567d00f4a16f0909bd760",
     "proposition1": "119f0e3ca94fdf6e652dd9471d38c17722628c0e9318366a1afdc44c11f92182",
-    "gradients": "d62dd9d248f0d4041d341e331e8555688e342a97c79be56e86a53624075864c5",
+    "gradients": "bda7dc837329be6819e6d7901b71514acbd89d242560b1a08550d82652cfd463",
     "votes": "33e494787a2fb96857165833b8184dc11f5659ab040e7ec98bcea150ce9a8a9e",
     "answers": "26ad86bf25e9a4cfe856e17f2f99baffc36b0698be0363f7330af78d86561af0",
 }
