@@ -260,9 +260,10 @@ def _prompt_rows(
     codes, inverse = np.unique(lw.ravel().view(np.uint64), return_inverse=True)
     weights = np.array([math.exp(v) for v in codes.view(np.float64).tolist()])
     counts = np.bincount(at, weights[inverse], minlength=n)
-    rows = np.unique(np.searchsorted(space._offsets, at, side="right") - 1).tolist()
+    row_of = np.searchsorted(space._offsets, at, side="right") - 1
+    rows = np.flatnonzero(np.bincount(row_of, minlength=len(space.prompts))).tolist()
     spans = [slice(space._bounds[r], space._bounds[r + 1]) for r in rows]
-    return rows, [policy._logits[at] for at in spans], [counts[at] for at in spans]
+    return rows, [policy._logits[span] for span in spans], [counts[span] for span in spans]
 
 
 def weighted_mle_objective(policy: SoftmaxPolicy, chains, log_weights) -> float:
