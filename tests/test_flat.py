@@ -316,13 +316,12 @@ class TestGroupCounts:
             (x, space.chains(x)[j % len(space.chains(x))], lw)
             for x, j, lw in data.draw(st.lists(picks, max_size=60))
         ]
-        chains = [space._bounds[space._row[x]] + space.chain_index(x, c) for x, c, _ in samples]
-        log_weights = [lw for *_, lw in samples]
-        shape = data.draw(st.sampled_from(["flat", "column"]))
-        if shape == "column":  # a [samples, 1] block, as a round's [prompts, k] arrays are 2-D
-            chains, log_weights = np.array(chains).reshape(-1, 1), np.array(log_weights).reshape(-1, 1)
+        chains = np.array([space._bounds[space._row[x]] + space.chain_index(x, c) for x, c, _ in samples], dtype=np.intp)
+        log_weights = np.array([lw for *_, lw in samples])
+        if data.draw(st.booleans()):  # a [samples, 1] block: a round's arrays are 2-D
+            chains, log_weights = chains.reshape(-1, 1), log_weights.reshape(-1, 1)
         policy = SoftmaxPolicy(space, logits)
-        rows, row_logits, counts = _prompt_rows(policy, np.array(chains, dtype=np.intp), np.array(log_weights))
+        rows, row_logits, counts = _prompt_rows(policy, chains, log_weights)
         want = reference_counts(space, samples)
         assert [space.prompts[r] for r in rows] == [x for x in space.prompts if x in want]
         for r, z, got in zip(rows, row_logits, counts):
