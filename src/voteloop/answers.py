@@ -141,6 +141,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# A whole string of tokens, each taken as `_TOKEN_RE.match` takes it (an
+# atomic group, repeated possessively): `_tokenize` raises exactly on the
+# strings this does not fullmatch.
+_TOKENS_RE = re.compile("(?>" + _TOKEN_RE.pattern + ")*+", re.VERBOSE)
+
 _OP_MAP = {
     "\u00d7": "*",  # ×
     "\u00b7": "*",  # ·
@@ -370,6 +375,10 @@ def _parse_with(raw: str, budget: _Budget) -> CanonicalExpr:
             return CanonicalExpr(None, trimmed)
         value = _parse_literal(stripped, budget)
         if value is None:
+            # A string that cannot be tokenized is opaque whether or not the
+            # budget would run out first, so it costs no steps.
+            if not _TOKENS_RE.fullmatch(stripped):
+                return CanonicalExpr(None, trimmed)
             value = _Parser(_tokenize(stripped, budget), budget).parse()
         return CanonicalExpr(value, trimmed)
     except (_ParseFailure, ValueError, OverflowError):

@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .metrics import RoundReport, best_round_of
-from .optim import _realized_objective, _stack_weights, _tilt_policy, solve_gradient
+from .optim import _realized_objective, _tilt_policy, solve_gradient
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import RewardTransform, log_transform
 from .util import _atomic_write, substream, substream_random
@@ -302,6 +302,8 @@ class RunResult:
     best_round: int
     stopped_early: bool
     degenerate_events: list[tuple[int, str]] = field(default_factory=list)
+    # Tabular rounds' log-weights: read-only per-prompt views of each
+    # round's flat `_chain_log_weights`.
     weight_history: list[dict[str, np.ndarray]] = field(default_factory=list)
     datasets: list[OfflineDataset] = field(default_factory=list)
     note: str = LABEL_NOTE
@@ -321,31 +323,31 @@ def _chain_log_weights(
     transform: RewardTransform,
     round_index: int,
     prev_labels: np.ndarray | None,
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
     """Exact per-chain log-weights implied by each prompt's label, the
     winning answer-class id of its row (and the previous round's labels for
-    the baseline-shifted transform).
+    the baseline-shifted transform), flat in the space's chain offsets and
+    read-only.
 
     The vote fixes the pseudo-label; the reward of *any* chain is then its
     answer class's indicator against that label, so the tabular update can
     weight the full distribution, not just the drawn candidates. One gather
-    over the space's flat class ids gives every prompt's row (read-only
-    views of one flat array).
+    over the space's flat class ids gives every prompt's row.
     """
     weigh = _log_weigher(transform, round_index, prev_labels)
     classes = space._flat_classes()
     rows = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
     flat = weigh(rows, classes, (classes == labels[rows]).astype(int))
     flat.flags.writeable = False
-    bounds = space._bounds
-    return {x: flat[a:b] for x, a, b in zip(space.prompts, bounds, bounds[1:])}
+    return flat
 
 
 def _update_tabular(
     policy: TabularPolicy,
-    log_weights: dict[str, np.ndarray],
+    log_w: np.ndarray,
 ) -> tuple[TabularPolicy, list[str], float]:
-    """Closed-form update of every prompt at once, with degenerate freeze.
+    """Closed-form update of every prompt at once on flat log-weights (as
+    `_chain_log_weights` returns them), with degenerate freeze.
 
     A prompt whose weighted mass vanishes keeps its previous distribution
     (the update objective is undefined there); the prompt is reported, never
@@ -353,10 +355,7 @@ def _update_tabular(
     sum_c prev_p(c) * w(c) * log new_p(c) over the other prompts.
     """
     space = policy.space
-    log_w, rows = _stack_weights(space, log_weights, log=True)
-    if not rows.all():
-        raise KeyError(f"no log-weights for prompt {space.prompts[int(np.argmin(rows))]!r}")
-    new, degenerate = _tilt_policy(policy, log_w, rows)
+    new, degenerate = _tilt_policy(policy, log_w)
     objective = _realized_objective(policy, log_w, new, ~degenerate)
     return new, [space.prompts[r] for r in np.flatnonzero(degenerate).tolist()], objective
 
@@ -420,7 +419,10 @@ def run(
         solver: dict[str, float] = {}
         if config.backend == "tabular":
             log_w = _chain_log_weights(prompts, dataset.labels, transform, m, prev_labels)
-            result.weight_history.append(log_w)
+            bounds = prompts._bounds
+            result.weight_history.append(
+                {x: log_w[a:b] for x, a, b in zip(prompts.prompts, bounds, bounds[1:])}
+            )
             policy, degenerate, objective = _update_tabular(policy, log_w)
         else:
             policy, solve_report = solve_gradient(policy, *dataset.weighted_samples())

@@ -15,9 +15,9 @@ winners of a training round's vote (`generate_round`'s dataset labels).
 check_fixed_point_equivalence runs the fixed-point iteration next to the
 offline loop, which replays the engine's own tabular round rule
 (`engine._chain_log_weights` with the baseline-shifted transform, then the
-closed-form update), and measures the distance between the two solutions;
-the two procedures telescope to the same update, so converged instances
-must agree to floating-point accuracy.
+closed-form update on those flat log-weights), and measures the distance
+between the two solutions; the two procedures telescope to the same update,
+so converged instances must agree to floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _chain_log_weights, generate_round
-from .optim import closed_form_update
+from .optim import _tilt_or_raise
 from .policy import TabularPolicy
 from .rewards import RewardTransform
 from .util import row_sums, substream
@@ -120,8 +120,8 @@ def _labels_at(
 def _tilt_from_base(pi0: TabularPolicy, labels: np.ndarray, beta: float) -> TabularPolicy:
     """normalize(exp(1[answer class = label] / beta) * pi0) on every prompt."""
     space = pi0.space
-    log_w = {x: (space.answer_classes(x) == labels[r]) / beta for r, x in enumerate(space.prompts)}
-    return closed_form_update(pi0, log_w, log=True)
+    label_of = np.repeat(labels, np.diff(space._offsets))  # per chain
+    return _tilt_or_raise(pi0, (space._flat_classes() == label_of) / beta)
 
 
 def _max_dev(a: TabularPolicy, b: TabularPolicy) -> float:
@@ -205,7 +205,7 @@ def _offline_loop(
     for m in range(1, config.max_rounds + 1):
         labels = _labels_at(policy, m, seed, mode, k)
         log_w = _chain_log_weights(pi0.space, labels, transform, m, labels_prev)
-        new_policy = closed_form_update(policy, log_w, log=True)
+        new_policy = _tilt_or_raise(policy, log_w)
         delta = _max_dev(new_policy, policy)
         stable = np.array_equal(labels, labels_prev)
         policy, labels_prev = new_policy, labels

@@ -21,7 +21,9 @@ together: their logits and counts sit in one padded [prompts, chains]
 array, every prompt keeps its own step size and line search, and prompts
 that converge or stall are masked out while the rest continue. The row
 functions on that array (objective, gradient, step, supremum) are what
-weighted_mle_objective, objective_gradient and `verify gradients` use.
+weighted_mle_objective, objective_gradient and `verify gradients` use; their
+temperature is one float, or a [rows, 1] column of each row's own (as
+`verify gradients` runs instances of different temperatures together).
 
 A prompt with per-chain weight counts cnt (total N) has its optimum at
 softmax = cnt/N, with supremum sup = sum_{cnt_c>0} cnt_c log(cnt_c/N). The
@@ -165,21 +167,30 @@ def _stack_weights(
 
 
 def _tilt_policy(
-    prev: TabularPolicy, log_w: np.ndarray, rows: np.ndarray
+    prev: TabularPolicy, log_w: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[TabularPolicy, np.ndarray]:
     """The tabular update on flat log-weights: the prompts in the rows where
-    `rows` holds are tilted at once, the others carry over. Returns the new
-    policy and the degenerate rows, which keep prev."""
+    `rows` holds (every prompt when it is None) are tilted at once, the
+    others carry over. Returns the new policy and the degenerate rows, which
+    keep prev."""
     offsets = prev.space._offsets
     new, degenerate = _tilt_rows(prev._probs, log_w, offsets, prev.space._length_groups())
+    if rows is None:
+        return TabularPolicy._trusted(prev.space, new), degenerate
     keep = np.repeat(~rows, np.diff(offsets))
     new[keep] = prev._probs[keep]
     return TabularPolicy._trusted(prev.space, new), degenerate & rows
 
 
-def _raise_degenerate(space, degenerate: np.ndarray) -> None:
+def _tilt_or_raise(
+    prev: TabularPolicy, log_w: np.ndarray, rows: np.ndarray | None = None
+) -> TabularPolicy:
+    """`_tilt_policy`, raising DegeneratePromptError for the first
+    degenerate prompt."""
+    policy, degenerate = _tilt_policy(prev, log_w, rows)
     if degenerate.any():
-        raise DegeneratePromptError(space.prompts[int(np.argmax(degenerate))])
+        raise DegeneratePromptError(prev.space.prompts[int(np.argmax(degenerate))])
+    return policy
 
 
 def closed_form_update(
@@ -195,10 +206,7 @@ def closed_form_update(
     unchanged. A prompt whose weighted mass vanishes raises
     DegeneratePromptError.
     """
-    log_w, rows = _stack_weights(prev.space, weights, log)
-    policy, degenerate = _tilt_policy(prev, log_w, rows)
-    _raise_degenerate(prev.space, degenerate)
-    return policy
+    return _tilt_or_raise(prev, *_stack_weights(prev.space, weights, log))
 
 
 def _realized_objective(
@@ -234,9 +242,7 @@ def product_form_oracle(
         log_w, rows = _stack_weights(space, round_weights, log)
         total = total + log_w
         touched |= rows
-    policy, degenerate = _tilt_policy(pi0, total, touched)
-    _raise_degenerate(space, degenerate)
-    return policy
+    return _tilt_or_raise(pi0, total, touched)
 
 
 def _prompt_rows(
@@ -312,14 +318,16 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=1)[:, -1]
 
 
-def _softmax_rows(z: np.ndarray, temperature: float) -> np.ndarray:
+def _softmax_rows(z: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
     q = z / temperature
     q = q - q.max(axis=1, keepdims=True)
     e = np.exp(q)
     return e / _row_sum(e)[:, None]
 
 
-def _objective_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.ndarray:
+def _objective_rows(
+    z: np.ndarray, cnt: np.ndarray, temperature: float | np.ndarray
+) -> np.ndarray:
     """Per row, sum of cnt * log softmax(z); -inf when a counted chain has
     zero probability. Uncounted chains and padding add exact-zero terms to
     the per-row dot that np.matmul runs on a stack of vector pairs; BLAS
@@ -330,13 +338,17 @@ def _objective_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.nd
     return np.matmul(cnt[:, None, :], logp[:, :, None])[:, 0, 0]
 
 
-def _gradient_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.ndarray:
+def _gradient_rows(
+    z: np.ndarray, cnt: np.ndarray, temperature: float | np.ndarray
+) -> np.ndarray:
     """Per row, the gradient of _objective_rows w.r.t. z:
     (cnt - N * softmax(z)) / T, with N the row's total count."""
     return (cnt - _row_sum(cnt)[:, None] * _softmax_rows(z, temperature)) / temperature
 
 
-def _direction_rows(z: np.ndarray, cnt: np.ndarray, temperature: float) -> np.ndarray:
+def _direction_rows(
+    z: np.ndarray, cnt: np.ndarray, temperature: float | np.ndarray
+) -> np.ndarray:
     """Per row, the natural-gradient step T * (cnt / (N p) - 1), zero where
     p == 0; its dot with the gradient row is sum (cnt - N p)^2 / (N p). A
     row with N == 0 gets NaN, but its certificate holds from the start."""

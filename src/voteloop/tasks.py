@@ -179,16 +179,6 @@ class Corpus:
     tasks: dict[str, SyntheticTask]
     spec: CorpusSpec
 
-    def subspace(self, split: str) -> PromptSpace:
-        prompts = self.splits[split]
-        return PromptSpace(
-            {x: self.space.chains(x) for x in prompts},
-            {x: {c: self.space.answer_of(x, c) for c in self.space.chains(x)} for x in prompts},
-        )
-
-    def split_truth(self, split: str) -> dict[str, str]:
-        return {x: self.truth[x] for x in self.splits[split]}
-
     def ceiling(self, split: str) -> float:
         """Fraction of the split whose population majority is the truth."""
         tasks = [self.tasks[x] for x in self.splits[split]]

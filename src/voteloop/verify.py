@@ -23,7 +23,7 @@ import numpy as np
 from .answers import ExtractedAnswer, equivalent, extract_boxed, parse_answer
 from .fixed_point import check_fixed_point_equivalence
 from .optim import _direction_rows, _gradient_rows, _objective_rows, _pad_rows, _prompt_rows
-from .optim import _sup_rows, closed_form_update, product_form_oracle
+from .optim import _sup_rows, _tilt_or_raise, product_form_oracle
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy
 from .tasks import render_rational
 from .util import substream
@@ -63,14 +63,21 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _random_space(rng: np.random.Generator, max_prompts: int, max_chains: int) -> PromptSpace:
-    """Random finite space; some prompts carry equivalent answer surface
-    forms so class merging is exercised."""
+# The closedform and gradients suites run their instances this many at a
+# time, as the rows of one PromptSpace.
+_INSTANCE_BLOCK = 64
+
+
+def _random_answers(
+    rng: np.random.Generator, max_prompts: int, max_chains: int, prefix: str = ""
+) -> dict[str, dict[str, str]]:
+    """prompt -> {chain: answer} of a random finite space, chains in order
+    and prompts named prefix + p0, p1, ...; some prompts carry equivalent
+    answer surface forms so class merging is exercised."""
     surface_pairs = [("0.5", "\\frac{1}{2}"), ("2/4", "0.5"), ("\\frac{3}{4}", "0.75")]
     n = int(rng.integers(1, max_prompts + 1))
-    chains, answers = {}, {}
+    answers = {}
     for i in range(n):
-        prompt = f"p{i}"
         m = int(rng.integers(2, max_chains + 1))
         ids = tuple(f"c{j}" for j in range(m))
         pool = [f"a{j}" for j in range(int(rng.integers(1, m + 1)))]
@@ -78,9 +85,12 @@ def _random_space(rng: np.random.Generator, max_prompts: int, max_chains: int) -
         if m >= 2 and rng.random() < 0.3:
             a, b = surface_pairs[int(rng.integers(len(surface_pairs)))]
             amap[ids[0]], amap[ids[1]] = a, b
-        chains[prompt] = ids
-        answers[prompt] = amap
-    return PromptSpace(chains, answers)
+        answers[f"{prefix}p{i}"] = amap
+    return answers
+
+
+def _space_of(answers: dict[str, dict[str, str]]) -> PromptSpace:
+    return PromptSpace({x: tuple(amap) for x, amap in answers.items()}, answers)
 
 
 def _random_tabular(rng: np.random.Generator, space: PromptSpace) -> TabularPolicy:
@@ -90,49 +100,79 @@ def _random_tabular(rng: np.random.Generator, space: PromptSpace) -> TabularPoli
     )
 
 
+def _blocks(count: int) -> Iterator[range]:
+    """Instance indices 0..count-1, `_INSTANCE_BLOCK` at a time."""
+    for first in range(0, count, _INSTANCE_BLOCK):
+        yield range(first, min(first + _INSTANCE_BLOCK, count))
+
+
+# The closedform suite's log-weights, by beta and 0/1 reward: log(w) of the
+# weight w = reward (beta None) or exp(reward / beta).
+_BETAS = [None, 0.05, 0.1, 1.0]
+with np.errstate(divide="ignore"):
+    _CLOSEDFORM_LOG_WEIGHTS = np.log(
+        [np.array([0.0, 1.0]) if b is None else np.exp(np.array([0.0, 1.0]) / b) for b in _BETAS]
+    )
+
+
 def verify_closedform(count: int = 50, seed: int = 0) -> SuiteResult:
     """Iterated per-round updates must equal the telescoped product form.
 
     Round weights follow vote-like dynamics: a pseudo-label class is drawn
     from the current policy and rewarded, then transformed by identity or
     exponential maps. Elementwise agreement within 1e-9 is required.
+
+    Instance idx draws from substream(seed, "closedform", idx), in this
+    order: its space (`_random_answers`, 1-8 prompts of 2-8 chains), one
+    Dirichlet row per prompt for pi0, the round count (1-5), the beta, then
+    one uniform per prompt and round, round by round: the draw
+    `Generator.choice` makes for each anchor. Instances run in blocks of
+    `_INSTANCE_BLOCK` as the rows of one space (prompt p{j} of instance idx
+    is i{idx}/p{j}). A round is one `sample_batch` of the anchors and one
+    `_tilt_policy` (the update of the engine's tabular rounds) on the rows
+    of the instances still running, the other rows carrying over; a
+    degenerate prompt raises. Rewards are answer-class equality with the
+    anchor. `product_form_oracle` reads all rounds of the block at once.
     """
     result = SuiteResult("closedform")
-    betas = [None, 0.05, 0.1, 1.0]
     worst = 0.0
-    for idx in range(count):
-        rng = substream(seed, "closedform", idx)
-        space = _random_space(rng, 8, 8)
-        pi0 = _random_tabular(rng, space)
-        rounds = int(rng.integers(1, 6))
-        beta = betas[int(rng.integers(len(betas)))]
+    for block in _blocks(count):
+        answers, probs, rounds, beta_index, uniforms = {}, {}, [], [], []
+        for idx in block:
+            rng = substream(seed, "closedform", idx)
+            table = _random_answers(rng, 8, 8, f"i{idx}/")
+            probs.update((x, rng.dirichlet(np.ones(len(amap)))) for x, amap in table.items())
+            answers.update(table)
+            rounds.append(int(rng.integers(1, 6)))
+            beta_index.append(int(rng.integers(len(_BETAS))))
+            uniforms.append(rng.random((rounds[-1], len(table))))
+        space = _space_of(answers)
+        pi0 = TabularPolicy(space, probs)
+        sizes, bounds = [len(u[0]) for u in uniforms], space._bounds
+        instance_of = np.repeat(np.arange(len(block)), sizes)
+        row_of = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
+        beta_of = np.array(beta_index)[instance_of][row_of]  # per chain
+        classes = space._flat_classes()
+        anchor = np.zeros(len(space.prompts), dtype=np.intp)  # class id per row
+        policy, history = pi0, []
+        for m in range(max(rounds)):
+            live = (np.array(rounds) > m)[instance_of]
+            at = np.flatnonzero(live).tolist()
+            u = np.concatenate([draws[m] for draws in uniforms if len(draws) > m])
+            picks = policy.sample_batch([space.prompts[r] for r in at], u[:, None])[:, 0]
+            anchor[at] = classes[space._offsets[at] + picks]
+            log_w = _CLOSEDFORM_LOG_WEIGHTS[beta_of, (classes == anchor[row_of]).astype(np.intp)]
+            history.append({space.prompts[r]: log_w[bounds[r] : bounds[r + 1]] for r in at})
+            policy = _tilt_or_raise(policy, log_w, live)
 
-        policy = pi0
-        history = []
-        for _ in range(rounds):
-            weights = {}
-            for prompt in space.prompts:
-                dist = policy.distribution(prompt)
-                anchor = space.answers(prompt)[int(rng.choice(len(dist), p=dist))]
-                rewards = np.array(
-                    [1.0 if equivalent(a, anchor) else 0.0 for a in space.answers(prompt)]
-                )
-                if beta is None:
-                    weights[prompt] = rewards
-                else:
-                    weights[prompt] = np.exp(rewards / beta)
-            history.append(weights)
-            policy = closed_form_update(policy, weights)
-
-        oracle = product_form_oracle(pi0, history)
-        dev = max(
-            float(np.max(np.abs(policy.distribution(x) - oracle.distribution(x))))
-            for x in space.prompts
-        )
-        worst = max(worst, dev)
-        result.instances.append(
-            InstanceResult(idx, dev <= 1e-9, {"max_dev": dev, "rounds": rounds, "beta": beta})
-        )
+        oracle = product_form_oracle(pi0, history, log=True)
+        firsts = space._offsets[np.cumsum([0, *sizes[:-1]])]
+        devs = np.maximum.reduceat(np.abs(policy._probs - oracle._probs), firsts).tolist()
+        for idx, dev, n, b in zip(block, devs, rounds, beta_index):
+            worst = max(worst, dev)
+            result.instances.append(
+                InstanceResult(idx, dev <= 1e-9, {"max_dev": dev, "rounds": n, "beta": _BETAS[b]})
+            )
     result.notes.append(f"max elementwise deviation {worst:.3e} (tolerance 1e-9)")
     return result
 
@@ -151,7 +191,7 @@ def verify_fixed_point_equivalence(
     cycles = 0
     for idx in range(count):
         rng = substream(seed, "prop1", idx)
-        space = _random_space(rng, 6, 6)
+        space = _space_of(_random_answers(rng, 6, 6))
         pi0 = _random_tabular(rng, space)
         beta = betas[int(rng.integers(len(betas)))]
         report = check_fixed_point_equivalence(pi0, beta, seed=seed + idx)
@@ -194,43 +234,78 @@ def verify_gradients(count: int = 50, seed: int = 0, h: float = 1e-5) -> SuiteRe
     weight, the rows the solver steps on), and `_sup_rows` equals
     sum n_c log(n_c/N) over counts added in plain Python (relative error
     <= 1e-12), with no objective row above it.
+
+    Instance idx draws from substream(seed, "grad", idx), in this order: its
+    space (`_random_answers`, 1-4 prompts of 2-6 chains), one row of normal
+    logits per prompt, the temperature, the sample count, then per sample
+    its prompt, its chain, whether its weight is zero, and the weight.
+    Instances run in blocks of `_INSTANCE_BLOCK` as the rows of one space
+    (prompt p{j} of instance idx is i{idx}/p{j}): one `_prompt_rows` call
+    counts every instance's samples into one padded matrix, and each row
+    function runs on all of it with a [rows, 1] column of the instances'
+    temperatures (two `_objective_rows` calls per column for the finite
+    differences). The plain-Python sums are added per instance.
     """
     result = SuiteResult("gradients")
     worst = 0.0
-    for idx in range(count):
-        rng = substream(seed, "grad", idx)
-        space = _random_space(rng, 4, 6)
-        logits = {x: rng.normal(0, 1.5, len(space.chains(x))) for x in space.prompts}
-        temperature = float(rng.uniform(0.5, 2.0))
-        policy = SoftmaxPolicy(space, logits, temperature)
-        chains, log_weights, reference = [], [], {}
-        for _ in range(int(rng.integers(3, 20))):
-            r = int(rng.integers(len(space.prompts)))
-            j = int(rng.integers(len(space.chains(space.prompts[r]))))
-            lw = -math.inf if rng.random() < 0.1 else float(np.log(rng.uniform(0.1, 5.0)))
-            chains.append(space._bounds[r] + j)
-            log_weights.append(lw)
-            reference.setdefault(r, [0.0] * len(space.chains(space.prompts[r])))[j] += math.exp(lw)
+    for block in _blocks(count):
+        answers, logits, temperatures, chains, log_weights, references = {}, [], [], [], [], []
+        first_rows, n_chains = [], 0
+        for idx in block:
+            rng = substream(seed, "grad", idx)
+            table = _random_answers(rng, 4, 6, f"i{idx}/")
+            sizes = [len(amap) for amap in table.values()]
+            logits += [rng.normal(0, 1.5, n) for n in sizes]
+            temperatures.append(float(rng.uniform(0.5, 2.0)))
+            bounds = np.cumsum([n_chains, *sizes]).tolist()
+            reference: dict[int, list[float]] = {}
+            for _ in range(int(rng.integers(3, 20))):
+                r = int(rng.integers(len(sizes)))
+                j = int(rng.integers(sizes[r]))
+                lw = -math.inf if rng.random() < 0.1 else float(np.log(rng.uniform(0.1, 5.0)))
+                chains.append(bounds[r] + j)
+                log_weights.append(lw)
+                reference.setdefault(r, [0.0] * sizes[r])[j] += math.exp(lw)
+            references.append(reference)
+            first_rows.append(len(answers))
+            answers.update(table)
+            n_chains = bounds[-1]
+        # `_prompt_rows` reads the logits only; each row's temperature is
+        # its instance's.
+        policy = SoftmaxPolicy._trusted(_space_of(answers), np.concatenate(logits), 1.0)
         rows, z_rows, cnt_rows = _prompt_rows(policy, np.array(chains), np.array(log_weights))
         z, cnt = _pad_rows(z_rows, cnt_rows)
+        instance_of = np.searchsorted(first_rows, rows, side="right") - 1
+        temperature = np.array(temperatures)[instance_of, None]
         grad, numeric = _gradient_rows(z, cnt, temperature), np.empty_like(z)
         for j, e in enumerate(h * np.eye(z.shape[1])):  # column j of every row moved at once
             up, down = (_objective_rows(z + s * e, cnt, temperature) for s in (1.0, -1.0))
             numeric[:, j] = (up - down) / (2 * h)
         scale = np.maximum(1.0, np.maximum(abs(grad), abs(numeric)))
-        max_rel = float(np.max(abs(grad - numeric) / scale))
-        dots = np.sum(_direction_rows(z, cnt, temperature) * grad, axis=1)[cnt.sum(axis=1) > 0]
+        rel = np.max(abs(grad - numeric) / scale, axis=1)
+        dots = np.sum(_direction_rows(z, cnt, temperature) * grad, axis=1)
+        weighted = cnt.sum(axis=1) > 0
         sup = _sup_rows(cnt)
-        want = [sum(c * math.log(c / sum(reference[r])) for c in reference[r] if c > 0) for r in rows]
-        detail = {
-            "max_rel_err": max_rel,
-            "min_ascent": min(dots.tolist(), default=0.0),
-            "sup_rel_err": max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(sup.tolist(), want)),
-            "objective_le_sup": bool(np.all(_objective_rows(z, cnt, temperature) <= sup)),
-        }
-        ok = max_rel < 1e-5 and detail["min_ascent"] >= 0 and detail["sup_rel_err"] <= 1e-12
-        worst = max(worst, max_rel)
-        result.instances.append(InstanceResult(idx, ok and detail["objective_le_sup"], detail))
+        below = _objective_rows(z, cnt, temperature) <= sup
+        # Every instance has samples, so its rows are one nonempty run.
+        ends = np.searchsorted(instance_of, np.arange(len(block)), side="right").tolist()
+        for idx, reference, lo, hi in zip(block, references, [0, *ends], ends):
+            want = [
+                sum(c * math.log(c / sum(reference[r])) for c in reference[r] if c > 0)
+                for r in sorted(reference)
+            ]
+            max_rel = float(np.max(rel[lo:hi]))
+            detail = {
+                "max_rel_err": max_rel,
+                "min_ascent": min(dots[lo:hi][weighted[lo:hi]].tolist(), default=0.0),
+                "sup_rel_err": max(
+                    abs(a - b) / max(1.0, abs(b)) for a, b in zip(sup[lo:hi].tolist(), want)
+                ),
+                "objective_le_sup": bool(np.all(below[lo:hi])),
+            }
+            ok = max_rel < 1e-5 and detail["min_ascent"] >= 0 and detail["sup_rel_err"] <= 1e-12
+            worst = max(worst, max_rel)
+            result.instances.append(InstanceResult(idx, ok and detail["objective_le_sup"], detail))
     result.notes.append(
         f"max relative gradient error {worst:.3e} (tolerance 1e-5, h={h:g}); "
         "step ascent and the certificate's supremum checked on every instance"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -341,6 +342,39 @@ class TestLiteralPath:
                 outcome = _literal_outcome(raw, answers.DEFAULT_STEP_BUDGET)
                 assert outcome == _literal_outcome(raw, answers.DEFAULT_STEP_BUDGET, literal=False)
                 assert outcome[0].is_numeric is numeric
+
+
+# Fuzz characters and whole tokens, so strings both do and do not tokenize.
+_TOKEN_TEXT = st.lists(
+    st.sampled_from([*_FUZZ_POOL.tolist(), "\\frac", "\\cdot", "\\cdots", "1.5", ".5", "2."]),
+    max_size=20,
+).map("".join)
+
+
+class TestTokenGate:
+    @settings(max_examples=500, deadline=None)
+    @given(raw=_TOKEN_TEXT)
+    def test_accepts_exactly_the_strings_that_tokenize(self, raw):
+        try:
+            answers._tokenize(raw, answers._Budget(10**9))
+        except answers._ParseFailure:
+            tokenizes = False
+        else:
+            tokenizes = True
+        assert (answers._TOKENS_RE.fullmatch(raw) is not None) is tokenizes
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_TOKEN_TEXT, b=_ANSWERS)
+    def test_results_do_not_change_under_any_budget(self, a, b):
+        def outcomes():
+            return [
+                (answers._parse_fresh(a, steps), equivalent(a, b, steps), equivalent(b, a, steps))
+                for steps in (answers.DEFAULT_STEP_BUDGET, *range(13))
+            ]
+
+        gated = outcomes()
+        with mock.patch.object(answers, "_TOKENS_RE", re.compile(".*", re.DOTALL)):
+            assert outcomes() == gated
 
 
 class TestAnswerKey:

@@ -320,7 +320,7 @@ class TestTabularUpdate:
     def test_degenerate_prompt_freezes_and_counts(self):
         space = vote_space()
         policy = TabularPolicy(space, {"p": (1.0, 0.0, 0.0)})
-        log_w = {"p": np.array([-math.inf, 0.0, 0.0])}  # mass only off-support
+        log_w = np.array([-math.inf, 0.0, 0.0])  # mass only off-support
         updated, frozen, _ = _update_tabular(policy, log_w)
         assert frozen == ["p"]
         assert np.array_equal(updated.distribution("p"), policy.distribution("p"))

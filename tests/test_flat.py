@@ -75,6 +75,11 @@ def reference_update(policy: TabularPolicy, log_w: dict[str, np.ndarray]):
     return table, frozen, objective
 
 
+def flat(policy: TabularPolicy, log_w: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-prompt log-weights as the flat array `_update_tabular` takes."""
+    return np.concatenate([log_w[x] for x in policy.space.prompts])
+
+
 def reference_entropy(p: np.ndarray) -> float:
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
@@ -109,7 +114,7 @@ class TestFlatUpdate:
     @given(case=tabular_updates())
     def test_update_equals_per_prompt_rule(self, case):
         policy, log_w = case
-        new, frozen, objective = _update_tabular(policy, log_w)
+        new, frozen, objective = _update_tabular(policy, flat(policy, log_w))
         table, frozen_ref, objective_ref = reference_update(policy, log_w)
         assert frozen == frozen_ref
         for prompt in policy.space.prompts:
@@ -126,7 +131,7 @@ class TestFlatUpdate:
         # Ordinary weights keep the objective finite, so the order in which
         # prompts' terms are added shows in its last bits.
         policy, log_w = case
-        _, _, objective = _update_tabular(policy, log_w)
+        _, _, objective = _update_tabular(policy, flat(policy, log_w))
         _, _, objective_ref = reference_update(policy, log_w)
         assert math.isfinite(objective_ref)
         assert objective == objective_ref
@@ -173,7 +178,7 @@ class TestFlatUpdate:
         )
         policy = TabularPolicy(space, {"a": (0.5, 0.3, 0.2), "b": (1.0, 0.0)})
         log_w = {"a": np.array([0.0, -700.0, 1.0]), "b": np.array([-math.inf, 0.0])}
-        new, frozen, _ = _update_tabular(policy, log_w)
+        new, frozen, _ = _update_tabular(policy, flat(policy, log_w))
         assert frozen == ["b"]
         assert new.distribution("a")[1] == 0.0
         table, _, _ = reference_update(policy, log_w)

@@ -8,7 +8,9 @@ reward weights and both update backends. `metrics.csv` and `summary.json`
 pin the evaluation: the maj@1/maj@k votes, mean entropies, realized
 objectives and the best round. A change that moves any of them must say
 so and re-record the digests below. The verify reports (seed 0) pin each
-suite's instances and their detail, byte for byte.
+suite's instances and their detail, byte for byte; two more reports (150
+instances, seed 1000) cross the blocks of 64 instances that the closedform
+and gradients suites run at a time.
 """
 
 import hashlib
@@ -87,3 +89,17 @@ def test_verify_reports_match_golden_digests(suite, tmp_path, capsys):
     out = tmp_path / f"{suite}.jsonl"
     assert main(["verify", suite, *VERIFY_RUNS[suite], "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VERIFY[suite]
+
+
+# Recorded before those suites ran in blocks, one instance at a time.
+GOLDEN_VERIFY_BLOCKS = {
+    "closedform": "fcffe20edba04f3859e87dd1af6b6f0f392a65a99fea50d872043e4544b5bfcd",
+    "gradients": "3ea4b244a5cb4e9130d70ea4a115be1c8ace6151232b0eec621e2229784fcca4",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_BLOCKS))
+def test_verify_reports_across_blocks_match_golden_digests(suite, tmp_path, capsys):
+    out = tmp_path / f"{suite}.jsonl"
+    assert main(["verify", suite, "--count", "150", "--seed", "1000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VERIFY_BLOCKS[suite]
