@@ -141,10 +141,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A whole string of tokens, each taken as `_TOKEN_RE.match` takes it (an
-# atomic group, repeated possessively): `_tokenize` raises exactly on the
-# strings this does not fullmatch.
-_TOKENS_RE = re.compile("(?>" + _TOKEN_RE.pattern + ")*+", re.VERBOSE)
+# A whole string of tokens, each taken as `_TOKEN_RE.match` takes it: a
+# lookahead captures the token and the backreference consumes it, which
+# makes each repeat atomic, so a failing fullmatch backtracks in linear time.
+_TOKENS_RE = re.compile("(?:(?=(" + _TOKEN_RE.pattern + r"))\1)*", re.VERBOSE)
 
 _OP_MAP = {
     "\u00d7": "*",  # ×
@@ -155,20 +155,16 @@ _OP_MAP = {
 }
 
 
-def _tokenize(s: str, budget: _Budget) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if m is None:
-            raise _ParseFailure(f"unexpected character at {pos}")
-        budget.charge()
-        pos = m.end()
-        tok = m.group()
-        if tok.isspace():
-            continue
-        tokens.append(_OP_MAP.get(tok, tok))
-    return tokens
+def _tokenize(s: str, budget: _Budget) -> list[str] | None:
+    """The tokens of `s` without whitespace, one step charged per token
+    (whitespace runs included). None, before any charge, when `s` is not a
+    whole run of tokens: it is opaque whether or not the budget would run
+    out first."""
+    if _TOKENS_RE.fullmatch(s) is None:
+        return None
+    tokens = _TOKEN_RE.findall(s)
+    budget.charge(len(tokens))
+    return [_OP_MAP.get(tok, tok) for tok in tokens if not tok.isspace()]
 
 
 def _digits(run: str) -> int:
@@ -375,11 +371,10 @@ def _parse_with(raw: str, budget: _Budget) -> CanonicalExpr:
             return CanonicalExpr(None, trimmed)
         value = _parse_literal(stripped, budget)
         if value is None:
-            # A string that cannot be tokenized is opaque whether or not the
-            # budget would run out first, so it costs no steps.
-            if not _TOKENS_RE.fullmatch(stripped):
+            tokens = _tokenize(stripped, budget)
+            if tokens is None:
                 return CanonicalExpr(None, trimmed)
-            value = _Parser(_tokenize(stripped, budget), budget).parse()
+            value = _Parser(tokens, budget).parse()
         return CanonicalExpr(value, trimmed)
     except (_ParseFailure, ValueError, OverflowError):
         return CanonicalExpr(None, trimmed)

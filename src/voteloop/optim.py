@@ -172,9 +172,10 @@ def _tilt_policy(
     """The tabular update on flat log-weights: the prompts in the rows where
     `rows` holds (every prompt when it is None) are tilted at once, the
     others carry over. Returns the new policy and the degenerate rows, which
-    keep prev."""
+    keep prev. A NaN or +inf log-weight raises ValueError."""
     offsets = prev.space._offsets
-    new, degenerate = _tilt_rows(prev._probs, log_w, offsets, prev.space._length_groups())
+    lw = _as_log(log_w, log=True)
+    new, degenerate = _tilt_rows(prev._probs, lw, offsets, prev.space._length_groups())
     if rows is None:
         return TabularPolicy._trusted(prev.space, new), degenerate
     keep = np.repeat(~rows, np.diff(offsets))

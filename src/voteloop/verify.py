@@ -137,44 +137,51 @@ def verify_closedform(count: int = 50, seed: int = 0) -> SuiteResult:
     result = SuiteResult("closedform")
     worst = 0.0
     for block in _blocks(count):
-        answers, probs, rounds, beta_index, uniforms = {}, {}, [], [], []
-        for idx in block:
-            rng = substream(seed, "closedform", idx)
-            table = _random_answers(rng, 8, 8, f"i{idx}/")
-            probs.update((x, rng.dirichlet(np.ones(len(amap)))) for x, amap in table.items())
-            answers.update(table)
-            rounds.append(int(rng.integers(1, 6)))
-            beta_index.append(int(rng.integers(len(_BETAS))))
-            uniforms.append(rng.random((rounds[-1], len(table))))
-        space = _space_of(answers)
-        pi0 = TabularPolicy(space, probs)
-        sizes, bounds = [len(u[0]) for u in uniforms], space._bounds
-        instance_of = np.repeat(np.arange(len(block)), sizes)
-        row_of = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
-        beta_of = np.array(beta_index)[instance_of][row_of]  # per chain
-        classes = space._flat_classes()
-        anchor = np.zeros(len(space.prompts), dtype=np.intp)  # class id per row
-        policy, history = pi0, []
-        for m in range(max(rounds)):
-            live = (np.array(rounds) > m)[instance_of]
-            at = np.flatnonzero(live).tolist()
-            u = np.concatenate([draws[m] for draws in uniforms if len(draws) > m])
-            picks = policy.sample_batch([space.prompts[r] for r in at], u[:, None])[:, 0]
-            anchor[at] = classes[space._offsets[at] + picks]
-            log_w = _CLOSEDFORM_LOG_WEIGHTS[beta_of, (classes == anchor[row_of]).astype(np.intp)]
-            history.append({space.prompts[r]: log_w[bounds[r] : bounds[r + 1]] for r in at})
-            policy = _tilt_or_raise(policy, log_w, live)
-
-        oracle = product_form_oracle(pi0, history, log=True)
-        firsts = space._offsets[np.cumsum([0, *sizes[:-1]])]
-        devs = np.maximum.reduceat(np.abs(policy._probs - oracle._probs), firsts).tolist()
-        for idx, dev, n, b in zip(block, devs, rounds, beta_index):
-            worst = max(worst, dev)
-            result.instances.append(
-                InstanceResult(idx, dev <= 1e-9, {"max_dev": dev, "rounds": n, "beta": _BETAS[b]})
-            )
+        for instance in _closedform_block(seed, block):
+            worst = max(worst, instance.detail["max_dev"])
+            result.instances.append(instance)
     result.notes.append(f"max elementwise deviation {worst:.3e} (tolerance 1e-9)")
     return result
+
+
+def _closedform_block(seed: int, block: range) -> list[InstanceResult]:
+    """The closedform instances of `block`, run as the rows of one space
+    (the block's arrays are freed on return, before the next is drawn)."""
+    answers, probs, rounds, beta_index, uniforms = {}, {}, [], [], []
+    for idx in block:
+        rng = substream(seed, "closedform", idx)
+        table = _random_answers(rng, 8, 8, f"i{idx}/")
+        probs.update((x, rng.dirichlet(np.ones(len(amap)))) for x, amap in table.items())
+        answers.update(table)
+        rounds.append(int(rng.integers(1, 6)))
+        beta_index.append(int(rng.integers(len(_BETAS))))
+        uniforms.append(rng.random((rounds[-1], len(table))))
+    space = _space_of(answers)
+    pi0 = TabularPolicy(space, probs)
+    sizes, bounds = [len(u[0]) for u in uniforms], space._bounds
+    instance_of = np.repeat(np.arange(len(block)), sizes)
+    row_of = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
+    beta_of = np.array(beta_index)[instance_of][row_of]  # per chain
+    classes = space._flat_classes()
+    anchor = np.zeros(len(space.prompts), dtype=np.intp)  # class id per row
+    policy, history = pi0, []
+    for m in range(max(rounds)):
+        live = (np.array(rounds) > m)[instance_of]
+        at = np.flatnonzero(live).tolist()
+        u = np.concatenate([draws[m] for draws in uniforms if len(draws) > m])
+        picks = policy.sample_batch([space.prompts[r] for r in at], u[:, None])[:, 0]
+        anchor[at] = classes[space._offsets[at] + picks]
+        log_w = _CLOSEDFORM_LOG_WEIGHTS[beta_of, (classes == anchor[row_of]).astype(np.intp)]
+        history.append({space.prompts[r]: log_w[bounds[r] : bounds[r + 1]] for r in at})
+        policy = _tilt_or_raise(policy, log_w, live)
+
+    oracle = product_form_oracle(pi0, history, log=True)
+    firsts = space._offsets[np.cumsum([0, *sizes[:-1]])]
+    devs = np.maximum.reduceat(np.abs(policy._probs - oracle._probs), firsts).tolist()
+    return [
+        InstanceResult(idx, dev <= 1e-9, {"max_dev": dev, "rounds": n, "beta": _BETAS[b]})
+        for idx, dev, n, b in zip(block, devs, rounds, beta_index)
+    ]
 
 
 def verify_fixed_point_equivalence(
@@ -249,68 +256,76 @@ def verify_gradients(count: int = 50, seed: int = 0, h: float = 1e-5) -> SuiteRe
     result = SuiteResult("gradients")
     worst = 0.0
     for block in _blocks(count):
-        answers, logits, temperatures, chains, log_weights, references = {}, [], [], [], [], []
-        first_rows, n_chains = [], 0
-        for idx in block:
-            rng = substream(seed, "grad", idx)
-            table = _random_answers(rng, 4, 6, f"i{idx}/")
-            sizes = [len(amap) for amap in table.values()]
-            logits += [rng.normal(0, 1.5, n) for n in sizes]
-            temperatures.append(float(rng.uniform(0.5, 2.0)))
-            bounds = np.cumsum([n_chains, *sizes]).tolist()
-            reference: dict[int, list[float]] = {}
-            for _ in range(int(rng.integers(3, 20))):
-                r = int(rng.integers(len(sizes)))
-                j = int(rng.integers(sizes[r]))
-                lw = -math.inf if rng.random() < 0.1 else float(np.log(rng.uniform(0.1, 5.0)))
-                chains.append(bounds[r] + j)
-                log_weights.append(lw)
-                reference.setdefault(r, [0.0] * sizes[r])[j] += math.exp(lw)
-            references.append(reference)
-            first_rows.append(len(answers))
-            answers.update(table)
-            n_chains = bounds[-1]
-        # `_prompt_rows` reads the logits only; each row's temperature is
-        # its instance's.
-        policy = SoftmaxPolicy._trusted(_space_of(answers), np.concatenate(logits), 1.0)
-        rows, z_rows, cnt_rows = _prompt_rows(policy, np.array(chains), np.array(log_weights))
-        z, cnt = _pad_rows(z_rows, cnt_rows)
-        instance_of = np.searchsorted(first_rows, rows, side="right") - 1
-        temperature = np.array(temperatures)[instance_of, None]
-        grad, numeric = _gradient_rows(z, cnt, temperature), np.empty_like(z)
-        for j, e in enumerate(h * np.eye(z.shape[1])):  # column j of every row moved at once
-            up, down = (_objective_rows(z + s * e, cnt, temperature) for s in (1.0, -1.0))
-            numeric[:, j] = (up - down) / (2 * h)
-        scale = np.maximum(1.0, np.maximum(abs(grad), abs(numeric)))
-        rel = np.max(abs(grad - numeric) / scale, axis=1)
-        dots = np.sum(_direction_rows(z, cnt, temperature) * grad, axis=1)
-        weighted = cnt.sum(axis=1) > 0
-        sup = _sup_rows(cnt)
-        below = _objective_rows(z, cnt, temperature) <= sup
-        # Every instance has samples, so its rows are one nonempty run.
-        ends = np.searchsorted(instance_of, np.arange(len(block)), side="right").tolist()
-        for idx, reference, lo, hi in zip(block, references, [0, *ends], ends):
-            want = [
-                sum(c * math.log(c / sum(reference[r])) for c in reference[r] if c > 0)
-                for r in sorted(reference)
-            ]
-            max_rel = float(np.max(rel[lo:hi]))
-            detail = {
-                "max_rel_err": max_rel,
-                "min_ascent": min(dots[lo:hi][weighted[lo:hi]].tolist(), default=0.0),
-                "sup_rel_err": max(
-                    abs(a - b) / max(1.0, abs(b)) for a, b in zip(sup[lo:hi].tolist(), want)
-                ),
-                "objective_le_sup": bool(np.all(below[lo:hi])),
-            }
-            ok = max_rel < 1e-5 and detail["min_ascent"] >= 0 and detail["sup_rel_err"] <= 1e-12
-            worst = max(worst, max_rel)
-            result.instances.append(InstanceResult(idx, ok and detail["objective_le_sup"], detail))
+        for instance in _gradients_block(seed, block, h):
+            worst = max(worst, instance.detail["max_rel_err"])
+            result.instances.append(instance)
     result.notes.append(
         f"max relative gradient error {worst:.3e} (tolerance 1e-5, h={h:g}); "
         "step ascent and the certificate's supremum checked on every instance"
     )
     return result
+
+
+def _gradients_block(seed: int, block: range, h: float) -> list[InstanceResult]:
+    """The gradients instances of `block`, run as the rows of one space."""
+    answers, logits, temperatures, chains, log_weights, references = {}, [], [], [], [], []
+    first_rows, n_chains = [], 0
+    for idx in block:
+        rng = substream(seed, "grad", idx)
+        table = _random_answers(rng, 4, 6, f"i{idx}/")
+        sizes = [len(amap) for amap in table.values()]
+        logits += [rng.normal(0, 1.5, n) for n in sizes]
+        temperatures.append(float(rng.uniform(0.5, 2.0)))
+        bounds = np.cumsum([n_chains, *sizes]).tolist()
+        reference: dict[int, list[float]] = {}
+        for _ in range(int(rng.integers(3, 20))):
+            r = int(rng.integers(len(sizes)))
+            j = int(rng.integers(sizes[r]))
+            lw = -math.inf if rng.random() < 0.1 else float(np.log(rng.uniform(0.1, 5.0)))
+            chains.append(bounds[r] + j)
+            log_weights.append(lw)
+            reference.setdefault(r, [0.0] * sizes[r])[j] += math.exp(lw)
+        references.append(reference)
+        first_rows.append(len(answers))
+        answers.update(table)
+        n_chains = bounds[-1]
+    # `_prompt_rows` reads the logits only; each row's temperature is
+    # its instance's.
+    policy = SoftmaxPolicy._trusted(_space_of(answers), np.concatenate(logits), 1.0)
+    rows, z_rows, cnt_rows = _prompt_rows(policy, np.array(chains), np.array(log_weights))
+    z, cnt = _pad_rows(z_rows, cnt_rows)
+    instance_of = np.searchsorted(first_rows, rows, side="right") - 1
+    temperature = np.array(temperatures)[instance_of, None]
+    grad, numeric = _gradient_rows(z, cnt, temperature), np.empty_like(z)
+    for j, e in enumerate(h * np.eye(z.shape[1])):  # column j of every row moved at once
+        up, down = (_objective_rows(z + s * e, cnt, temperature) for s in (1.0, -1.0))
+        numeric[:, j] = (up - down) / (2 * h)
+    scale = np.maximum(1.0, np.maximum(abs(grad), abs(numeric)))
+    rel = np.max(abs(grad - numeric) / scale, axis=1)
+    dots = np.sum(_direction_rows(z, cnt, temperature) * grad, axis=1)
+    weighted = cnt.sum(axis=1) > 0
+    sup = _sup_rows(cnt)
+    below = _objective_rows(z, cnt, temperature) <= sup
+    # Every instance has samples, so its rows are one nonempty run.
+    ends = np.searchsorted(instance_of, np.arange(len(block)), side="right").tolist()
+    instances = []
+    for idx, reference, lo, hi in zip(block, references, [0, *ends], ends):
+        want = [
+            sum(c * math.log(c / sum(reference[r])) for c in reference[r] if c > 0)
+            for r in sorted(reference)
+        ]
+        max_rel = float(np.max(rel[lo:hi]))
+        detail = {
+            "max_rel_err": max_rel,
+            "min_ascent": min(dots[lo:hi][weighted[lo:hi]].tolist(), default=0.0),
+            "sup_rel_err": max(
+                abs(a - b) / max(1.0, abs(b)) for a, b in zip(sup[lo:hi].tolist(), want)
+            ),
+            "objective_le_sup": bool(np.all(below[lo:hi])),
+        }
+        ok = max_rel < 1e-5 and detail["min_ascent"] >= 0 and detail["sup_rel_err"] <= 1e-12
+        instances.append(InstanceResult(idx, ok and detail["objective_le_sup"], detail))
+    return instances
 
 
 def _vote_oracle(answers: Sequence[str]) -> tuple[set[str], int]:

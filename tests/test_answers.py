@@ -3,7 +3,6 @@
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -351,17 +350,42 @@ _TOKEN_TEXT = st.lists(
 ).map("".join)
 
 
+def _tokenize_by_match(s, budget):
+    """`_tokenize` as a loop of `_TOKEN_RE.match` calls that charges each
+    token as it is taken and raises at the first character no token starts."""
+    tokens, pos = [], 0
+    while pos < len(s):
+        m = answers._TOKEN_RE.match(s, pos)
+        if m is None:
+            raise answers._ParseFailure(f"unexpected character at {pos}")
+        budget.charge()
+        pos = m.end()
+        if not m.group().isspace():
+            tokens.append(answers._OP_MAP.get(m.group(), m.group()))
+    return tokens
+
+
 class TestTokenGate:
     @settings(max_examples=500, deadline=None)
     @given(raw=_TOKEN_TEXT)
-    def test_accepts_exactly_the_strings_that_tokenize(self, raw):
-        try:
-            answers._tokenize(raw, answers._Budget(10**9))
-        except answers._ParseFailure:
-            tokenizes = False
-        else:
-            tokenizes = True
-        assert (answers._TOKENS_RE.fullmatch(raw) is not None) is tokenizes
+    def test_tokens_equal_a_match_loop(self, raw):
+        def outcome(tokenize):
+            budget = answers._Budget(10**9)
+            try:
+                tokens = tokenize(raw, budget)
+            except answers._ParseFailure:
+                tokens = None
+            return None if tokens is None else (tokens, budget.remaining)
+
+        assert outcome(answers._tokenize) == outcome(_tokenize_by_match)
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["1" * 5000 + "x", "1 " * 3000 + "x", "(" * 4000 + "a"],
+        ids=["digit-run", "spaced-digits", "open-parens"],
+    )
+    def test_long_strings_fail_fast(self, raw):
+        assert answers._tokenize(raw, answers._Budget(0)) is None
 
     @settings(max_examples=200, deadline=None)
     @given(a=_TOKEN_TEXT, b=_ANSWERS)
@@ -373,7 +397,7 @@ class TestTokenGate:
             ]
 
         gated = outcomes()
-        with mock.patch.object(answers, "_TOKENS_RE", re.compile(".*", re.DOTALL)):
+        with mock.patch.object(answers, "_tokenize", _tokenize_by_match):
             assert outcomes() == gated
 
 

@@ -308,6 +308,13 @@ class TestTabularUpdate:
                     atol=1e-9,
                 )
 
+    def test_infinite_log_weights_raise(self):
+        # 1 / beta overflows to +inf, a weight no update can normalize by.
+        corpus, hook = corpus_fixture(n_train=4, n_test=2)
+        config = RunConfig(k=5, rounds=1, seed=3, transform="exponential", beta=1e-320)
+        with pytest.raises(ValueError, match="must be finite or -inf"):
+            run(config, corpus.space, corpus.base, hook)
+
     def test_identity_transform_zeroes_rewardless_dataset_chains(self):
         corpus, hook = corpus_fixture(seed=13)
         config = RunConfig(k=9, rounds=1, seed=33)
