@@ -27,21 +27,22 @@ def shown(policy):
 
 print("base policy:", shown(pi0))
 
-# Identity weights: reward 1 keeps a chain, reward 0 removes it.
-restricted = closed_form_update(pi0, {"q": (1.0, 0.0)})
+# The updates take log-weights, one per chain. Identity weights: reward 1
+# (log-weight 0) keeps a chain, reward 0 (log-weight -inf) removes it.
+restricted = closed_form_update(pi0, np.array([0.0, -np.inf]))
 print("\nidentity transform, reward (1, 0):")
 print("  one update  ->", shown(restricted))
 
 # Exponential weights exp(reward / beta) with beta = 0.1: a soft tilt of
 # exp(10) toward the rewarded chain per round.
 beta = 0.1
-w = {"q": (math.exp(1 / beta), 1.0)}
+log_w = np.log([math.exp(1 / beta), 1.0])
 print(f"\nexponential transform, beta={beta} (tilt e^10 per round):")
 policy = pi0
 history = []
 for m in range(1, 4):
-    policy = closed_form_update(policy, w)
-    history.append(w)
+    policy = closed_form_update(policy, log_w)
+    history.append(log_w)
     oracle = product_form_oracle(pi0, history)
     dev = np.max(np.abs(policy.distribution("q") - oracle.distribution("q")))
     print(
@@ -50,7 +51,6 @@ for m in range(1, 4):
     )
 
 # Forty rounds of e^10 tilts would overflow linear space (exp(400)); the
-# oracle accepts log-weights and composes them without incident.
-log_history = [{"q": np.array([10.0, 0.0])}] * 40
-far = product_form_oracle(pi0, log_history, log=True)
+# oracle adds the log-weights and composes them without incident.
+far = product_form_oracle(pi0, [np.array([10.0, 0.0])] * 40)
 print(f"\nafter 40 tilted rounds (log-space): p(good) = {far.prob('q', 'good')}")

@@ -302,9 +302,8 @@ class RunResult:
     best_round: int
     stopped_early: bool
     degenerate_events: list[tuple[int, str]] = field(default_factory=list)
-    # Tabular rounds' log-weights: read-only per-prompt views of each
-    # round's flat `_chain_log_weights`.
-    weight_history: list[dict[str, np.ndarray]] = field(default_factory=list)
+    # Each tabular round's flat, read-only `_chain_log_weights`.
+    weight_history: list[np.ndarray] = field(default_factory=list)
     datasets: list[OfflineDataset] = field(default_factory=list)
     note: str = LABEL_NOTE
 
@@ -419,10 +418,7 @@ def run(
         solver: dict[str, float] = {}
         if config.backend == "tabular":
             log_w = _chain_log_weights(prompts, dataset.labels, transform, m, prev_labels)
-            bounds = prompts._bounds
-            result.weight_history.append(
-                {x: log_w[a:b] for x, a, b in zip(prompts.prompts, bounds, bounds[1:])}
-            )
+            result.weight_history.append(log_w)
             policy, degenerate, objective = _update_tabular(policy, log_w)
         else:
             policy, solve_report = solve_gradient(policy, *dataset.weighted_samples())

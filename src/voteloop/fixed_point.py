@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _chain_log_weights, generate_round
-from .optim import _tilt_or_raise
+from .optim import closed_form_update
 from .policy import TabularPolicy
 from .rewards import RewardTransform
 from .util import row_sums, substream
@@ -121,7 +121,7 @@ def _tilt_from_base(pi0: TabularPolicy, labels: np.ndarray, beta: float) -> Tabu
     """normalize(exp(1[answer class = label] / beta) * pi0) on every prompt."""
     space = pi0.space
     label_of = np.repeat(labels, np.diff(space._offsets))  # per chain
-    return _tilt_or_raise(pi0, (space._flat_classes() == label_of) / beta)
+    return closed_form_update(pi0, (space._flat_classes() == label_of) / beta)
 
 
 def _max_dev(a: TabularPolicy, b: TabularPolicy) -> float:
@@ -205,7 +205,7 @@ def _offline_loop(
     for m in range(1, config.max_rounds + 1):
         labels = _labels_at(policy, m, seed, mode, k)
         log_w = _chain_log_weights(pi0.space, labels, transform, m, labels_prev)
-        new_policy = _tilt_or_raise(policy, log_w)
+        new_policy = closed_form_update(policy, log_w)
         delta = _max_dev(new_policy, policy)
         stable = np.array_equal(labels, labels_prev)
         policy, labels_prev = new_policy, labels

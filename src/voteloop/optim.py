@@ -13,13 +13,15 @@ and iterating it for m rounds telescopes into the product form
     p_m(c)  proportional to  (prod_j weight_j(c)) * p_0(c),
 
 which product_form_oracle evaluates directly as an independent check on
-the iterated path. For softmax policies the samples are a round's own
-arrays, flat chain indices and log-weights, counted per chain by one
-bincount, and the same objective is ascended by natural-gradient steps with
-a monotone (backtracking) line search. All prompts of a round ascend
-together: their logits and counts sit in one padded [prompts, chains]
-array, every prompt keeps its own step size and line search, and prompts
-that converge or stall are masked out while the rest continue. The row
+the iterated path. Both take flat per-chain log-weights, laid out by the
+space's chain offsets as the engine's rounds make them. For softmax
+policies the samples are a round's own arrays, flat chain indices and
+log-weights, counted per chain by one bincount, and the same objective is
+ascended by natural-gradient steps with a monotone (backtracking) line
+search. All prompts of a round ascend together: their logits and counts
+sit in one padded [prompts, chains] array, every prompt keeps its own
+step size and line search, and prompts that converge or stall are masked
+out while the rest continue. The row
 functions on that array (objective, gradient, step, supremum) are what
 weighted_mle_objective, objective_gradient and `verify gradients` use; their
 temperature is one float, or a [rows, 1] column of each row's own (as
@@ -46,12 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .policy import SoftmaxPolicy, TabularPolicy
-from .util import TINY_PROB, row_sums
+from .util import normalize_rows, row_sums
 
 __all__ = [
     "DegeneratePromptError",
@@ -103,25 +105,18 @@ def _tilt_rows(
     prev: np.ndarray, log_w: np.ndarray, offsets: np.ndarray, groups=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """normalize(exp(log_w) * prev) on every row of flat arrays laid out by
-    `offsets`, in log space with a max shift; entries below TINY_PROB are
-    flushed to zero and their row renormalized.
+    `offsets`, in log space with a max shift, then `normalize_rows` (with
+    the rows' `length_groups`, when given), so every row's bits equal a
+    one-row call.
 
     Returns (new, degenerate). A degenerate row has no entry with both
-    positive weight and positive prior; it keeps prev. Row sums go through
-    `row_sums` (with the rows' `length_groups`, when given), so every row's
-    bits equal a one-row call.
+    positive weight and positive prior; it keeps prev.
     """
     lens = np.diff(offsets)
     with np.errstate(divide="ignore", invalid="ignore"):
         combined = log_w + np.where(prev > 0, np.log(prev), -np.inf)
         shift = np.maximum.reduceat(combined, offsets[:-1])
-        out = np.exp(combined - np.repeat(shift, lens))
-        out /= np.repeat(row_sums(out, offsets, groups=groups), lens)
-        small = (out < TINY_PROB) & (out > 0)
-        if small.any():
-            flush = np.repeat(np.logical_or.reduceat(small, offsets[:-1]), lens)
-            out[small] = 0.0
-            out[flush] /= np.repeat(row_sums(out, offsets, groups=groups), lens)[flush]
+        out = normalize_rows(np.exp(combined - np.repeat(shift, lens)), offsets, groups=groups)
     degenerate = shift == -np.inf
     dead = np.repeat(degenerate, lens)
     out[dead] = prev[dead]
@@ -144,70 +139,48 @@ def tilt_distribution(prev: np.ndarray, weights: np.ndarray, *, log: bool = Fals
     return out
 
 
-def _stack_weights(
-    space, weights: Mapping[str, Sequence[float]], log: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat log-weights from a prompt -> per-chain weights mapping
-    (log-weights when log=True), and the mask of the rows it covers; the
-    other rows get log-weight 0. A key that is not a prompt of the space
-    raises KeyError naming the first such key."""
-    lens = np.diff(space._offsets).tolist()
-    fill = 0.0 if log else 1.0
-    rows = [weights.get(x) for x in space.prompts]
-    covered = np.array([w is not None for w in rows])
-    if len(weights) > covered.sum():
-        unknown = next(x for x in weights if x not in space)
-        raise KeyError(f"weights given for prompt {unknown!r}, which is not in the space")
-    parts = [
-        np.full(n, fill) if w is None else np.asarray(w, dtype=float) for w, n in zip(rows, lens)
-    ]
-    if any(part.shape != (n,) for part, n in zip(parts, lens)):
-        raise ValueError("weights and distribution shapes differ")
-    return _as_log(np.concatenate(parts), log), covered
-
-
 def _tilt_policy(
     prev: TabularPolicy, log_w: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[TabularPolicy, np.ndarray]:
     """The tabular update on flat log-weights: the prompts in the rows where
     `rows` holds (every prompt when it is None) are tilted at once, the
     others carry over. Returns the new policy and the degenerate rows, which
-    keep prev. A NaN or +inf log-weight raises ValueError."""
+    keep prev. Log-weights `_flat_log_weights` rejects raise ValueError."""
     offsets = prev.space._offsets
-    lw = _as_log(log_w, log=True)
+    lw = _flat_log_weights(prev, log_w)
     new, degenerate = _tilt_rows(prev._probs, lw, offsets, prev.space._length_groups())
-    if rows is None:
-        return TabularPolicy._trusted(prev.space, new), degenerate
-    keep = np.repeat(~rows, np.diff(offsets))
-    new[keep] = prev._probs[keep]
-    return TabularPolicy._trusted(prev.space, new), degenerate & rows
+    if rows is not None:
+        keep = np.repeat(~rows, np.diff(offsets))
+        new[keep] = prev._probs[keep]
+        degenerate &= rows
+    return TabularPolicy._trusted(prev.space, new), degenerate
 
 
-def _tilt_or_raise(
+def _flat_log_weights(policy: TabularPolicy, log_w) -> np.ndarray:
+    """`log_w` as floats, checked to hold one log-weight per chain of the
+    policy's space, none NaN or +inf (ValueError otherwise)."""
+    lw = _as_log(log_w, log=True)
+    if lw.shape != policy._probs.shape:
+        raise ValueError(
+            f"log-weights have shape {lw.shape}, expected {policy._probs.shape} (one per chain)"
+        )
+    return lw
+
+
+def closed_form_update(
     prev: TabularPolicy, log_w: np.ndarray, rows: np.ndarray | None = None
 ) -> TabularPolicy:
-    """`_tilt_policy`, raising DegeneratePromptError for the first
-    degenerate prompt."""
+    """Exact solution of the weighted-MLE step: new_p proportional to w * prev_p.
+
+    `log_w` holds log(w) of every chain, flat in the space's chain offsets.
+    With `rows`, a boolean mask over the space's prompts, only those prompts
+    are updated and the others carry over bit for bit. A prompt whose
+    weighted mass vanishes raises DegeneratePromptError.
+    """
     policy, degenerate = _tilt_policy(prev, log_w, rows)
     if degenerate.any():
         raise DegeneratePromptError(prev.space.prompts[int(np.argmax(degenerate))])
     return policy
-
-
-def closed_form_update(
-    prev: TabularPolicy,
-    weights: Mapping[str, Sequence[float]],
-    *,
-    log: bool = False,
-) -> TabularPolicy:
-    """Exact solution of the weighted-MLE step: new_p proportional to w * prev_p.
-
-    `weights` maps prompt -> per-chain nonnegative weights (log-weights when
-    log=True); prompts absent from the mapping carry their distribution over
-    unchanged. A prompt whose weighted mass vanishes raises
-    DegeneratePromptError.
-    """
-    return _tilt_or_raise(prev, *_stack_weights(prev.space, weights, log))
 
 
 def _realized_objective(
@@ -224,26 +197,20 @@ def _realized_objective(
 
 
 def product_form_oracle(
-    pi0: TabularPolicy,
-    weight_history: Sequence[Mapping[str, Sequence[float]]],
-    *,
-    log: bool = False,
+    pi0: TabularPolicy, log_weight_history: Sequence[np.ndarray]
 ) -> TabularPolicy:
     """Policy after all rounds, from the telescoped product of round weights.
 
-    Computes normalize((prod_j w_j) * pi0) per prompt without iterating the
-    per-round updates, which makes it an independent oracle for them.
+    Adds the rounds' flat log-weights (as `closed_form_update` takes them)
+    and tilts pi0 once, without iterating the per-round updates, which makes
+    it an independent oracle for them.
     """
-    if len(weight_history) == 0:
-        raise ValueError("weight_history must be nonempty")
-    space = pi0.space
-    total = np.zeros(space._bounds[-1])
-    touched = np.zeros(len(space.prompts), dtype=bool)
-    for round_weights in weight_history:
-        log_w, rows = _stack_weights(space, round_weights, log)
-        total = total + log_w
-        touched |= rows
-    return _tilt_or_raise(pi0, total, touched)
+    if len(log_weight_history) == 0:
+        raise ValueError("log_weight_history must be nonempty")
+    total = np.zeros(len(pi0._probs))
+    for log_w in log_weight_history:
+        total = total + _flat_log_weights(pi0, log_w)
+    return closed_form_update(pi0, total)
 
 
 def _prompt_rows(

@@ -40,7 +40,7 @@ import numpy as np
 
 from .answers import answer_key
 from .rewards import vote_classes
-from .util import _atomic_write, length_groups, normalize_simplex, row_sums
+from .util import _atomic_write, length_groups, normalize_rows, row_sums
 
 __all__ = [
     "PromptSpace",
@@ -213,6 +213,26 @@ class PromptSpace:
             winner[r] = vote_classes(classes[r], answers, tie_stream(r))[0]
         return classes, winner
 
+    def _flat_table(self, table: Mapping[str, Sequence[float]], what: str) -> np.ndarray:
+        """The prompts' vectors in `table` as one flat float array in the
+        chain offsets. A missing prompt raises KeyError, a vector of another
+        shape ValueError, each naming the prompt."""
+        rows = []
+        for prompt, n in zip(self.prompts, np.diff(self._offsets).tolist()):
+            if prompt not in table:
+                raise KeyError(f"no {what} for prompt {prompt!r}")
+            rows.append(np.asarray(table[prompt], dtype=float))
+            if rows[-1].shape != (n,):
+                raise ValueError(
+                    f"prompt {prompt!r}: expected {n} {what}, got shape {rows[-1].shape}"
+                )
+        return np.concatenate(rows)
+
+    def _reject(self, bad: np.ndarray, problem: str) -> None:
+        """ValueError naming the first prompt whose row `bad` flags."""
+        if bad.any():
+            raise ValueError(f"prompt {self.prompts[int(np.argmax(bad))]!r}: {problem}")
+
     def _span(self, prompt: str) -> tuple[int, int]:
         """[start, end) of the prompt's chains in any flat per-chain array."""
         row = self._row.get(prompt)
@@ -266,19 +286,13 @@ class _PolicyBase:
         return float(self.distribution(prompt)[i])
 
     def sample(self, prompt: str, count: int, rng: np.random.Generator) -> list[str]:
-        """Draw `count` chain-ids i.i.d. from this prompt's distribution."""
+        """Draw `count` chain-ids i.i.d. from this prompt's distribution, the
+        chains of `rng.choice(len(p), count, p=p)` (see sample_batch)."""
         chains = self.space.chains(prompt)
-        return [chains[i] for i in self.sample_indices(prompt, count, rng).tolist()]
-
-    def sample_indices(self, prompt: str, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw `count` chain indices i.i.d. from this prompt's distribution.
-
-        Equals `rng.choice(len(p), count, p=p)`: same indices, same stream
-        state afterwards (see sample_batch).
-        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        return self.sample_batch([prompt], rng.random((1, count)))[0]
+        picks = self.sample_batch([prompt], rng.random((1, count)))[0]
+        return [chains[i] for i in picks.tolist()]
 
     def sample_batch(self, prompts: Sequence[str], uniforms: np.ndarray) -> np.ndarray:
         """Chain indices drawn by inverse CDF: row r draws from prompts[r]
@@ -361,25 +375,23 @@ class _PolicyBase:
 class TabularPolicy(_PolicyBase):
     """Explicit per-prompt probability table over chains.
 
-    Input vectors are normalized on construction (sub-1e-300 entries flushed
-    to zero) and stored as one read-only flat array.
+    Input vectors are checked (finite, nonnegative, some mass; an error
+    names the prompt), normalized on construction by `util.normalize_rows`
+    (sub-1e-300 entries flushed to zero) and stored as one read-only flat
+    array.
     """
 
     kind = "tabular"
 
     def __init__(self, space: PromptSpace, probs: Mapping[str, Sequence[float]]):
-        rows = []
-        for prompt in space.prompts:
-            if prompt not in probs:
-                raise KeyError(f"no probabilities for prompt {prompt!r}")
-            vec = np.asarray(probs[prompt], dtype=float)
-            if vec.shape != (len(space.chains(prompt)),):
-                raise ValueError(
-                    f"prompt {prompt!r}: expected {len(space.chains(prompt))} "
-                    f"probabilities, got shape {vec.shape}"
-                )
-            rows.append(normalize_simplex(vec, tol=TABULAR_SUM_TOL))
-        self._set_table(space, np.concatenate(rows))
+        raw, starts = space._flat_table(probs, "probabilities"), space._offsets[:-1]
+        space._reject(
+            np.logical_or.reduceat(~np.isfinite(raw) | (raw < 0), starts),
+            "probabilities must be finite and nonnegative",
+        )
+        space._reject(~np.logical_or.reduceat(raw > 0, starts), "probability vector has zero mass")
+        groups = space._length_groups()
+        self._set_table(space, normalize_rows(raw, space._offsets, TABULAR_SUM_TOL, groups))
 
     @classmethod
     def _trusted(cls, space: PromptSpace, probs: np.ndarray) -> "TabularPolicy":
@@ -407,21 +419,13 @@ class SoftmaxPolicy(_PolicyBase):
     ):
         if not (temperature > 0):
             raise ValueError("temperature must be positive")
-        vecs = []
-        for prompt in space.prompts:
-            if prompt not in logits:
-                raise KeyError(f"no logits for prompt {prompt!r}")
-            vec = np.asarray(logits[prompt], dtype=float)
-            if vec.shape != (len(space.chains(prompt)),):
-                raise ValueError(f"prompt {prompt!r}: logit shape {vec.shape} mismatch")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"prompt {prompt!r}: logits must be finite")
-            vecs.append(vec)
-        self._set_logits(space, np.concatenate(vecs), temperature)
-        bad = np.abs(row_sums(self._probs, space._offsets, groups=space._length_groups()) - 1.0)
-        if np.any(bad > SOFTMAX_SUM_TOL):
-            prompt = space.prompts[int(np.argmax(bad > SOFTMAX_SUM_TOL))]
-            raise ValueError(f"prompt {prompt!r}: softmax normalization failed")
+        flat = space._flat_table(logits, "logits")
+        space._reject(
+            np.logical_or.reduceat(~np.isfinite(flat), space._offsets[:-1]), "logits must be finite"
+        )
+        self._set_logits(space, flat, temperature)
+        sums = row_sums(self._probs, space._offsets, groups=space._length_groups())
+        space._reject(np.abs(sums - 1.0) > SOFTMAX_SUM_TOL, "softmax normalization failed")
 
     @classmethod
     def _trusted(cls, space: PromptSpace, logits: np.ndarray, temperature: float) -> "SoftmaxPolicy":

@@ -1,4 +1,4 @@
-"""Shared plumbing: named random substreams, simplex helpers, row sums
+"""Shared plumbing: named random substreams, row sums and normalization
 over flat per-chain arrays, and atomic file replacement."""
 
 from __future__ import annotations
@@ -207,34 +207,6 @@ def substream_random(seed: int, addresses: Sequence[Sequence[object]], count: in
 TINY_PROB = 1e-300
 
 
-def normalize_simplex(raw: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Scale a nonnegative vector to sum 1, flushing sub-TINY_PROB entries.
-
-    When the input already sums to 1 within `tol` and needs no flushing, it
-    is returned unchanged (as a copy), keeping checkpoint round-trips and
-    carried-over distributions bit-exact.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError("probability vector must be 1-D and nonempty")
-    if not np.all(np.isfinite(raw)) or np.any(raw < 0):
-        raise ValueError("probabilities must be finite and nonnegative")
-    total = raw.sum()
-    if total <= 0:
-        raise ValueError("probability vector has zero mass")
-    out = raw.copy() if abs(total - 1.0) <= tol else raw / total
-    small = (out < TINY_PROB) & (out > 0)
-    if small.any():
-        out[small] = 0.0
-        out = out / out.sum()
-    return out
-
-
-def total_variation(p: Sequence[float], q: Sequence[float]) -> float:
-    """Total-variation distance between two distributions on the same support."""
-    return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
-
-
 def length_groups(offsets: np.ndarray):
     """Rows of a flat array grouped by length: for every row length n, the
     rows of that length and the [rows, n] flat indices of their entries.
@@ -269,4 +241,29 @@ def row_sums(
     out = np.zeros(len(offsets) - 1)
     for rows, at in length_groups(offsets) if groups is None else groups:
         out[rows] = values[at].sum(axis=1)
+    return out
+
+
+def normalize_rows(
+    raw: np.ndarray, offsets: np.ndarray, tol: float = 0.0, groups=None
+) -> np.ndarray:
+    """Every row of a flat nonnegative array scaled to sum 1, with entries
+    below TINY_PROB flushed to zero and their row scaled again.
+
+    Rows are divided by their `row_sums` (`groups` as there). With `tol`, a
+    row whose sum is within `tol` of 1 is divided by 1.0 instead, which
+    leaves its bits unchanged, so checkpoint round-trips and carried-over
+    distributions stay bit-exact. Each row's bits equal the same steps on
+    that row alone.
+    """
+    lens = np.diff(offsets)
+    sums = row_sums(raw, offsets, groups=groups)
+    if tol:
+        sums[np.abs(sums - 1.0) <= tol] = 1.0
+    out = raw / np.repeat(sums, lens)
+    small = (out < TINY_PROB) & (out > 0)
+    if small.any():
+        flush = np.repeat(np.logical_or.reduceat(small, offsets[:-1]), lens)
+        out[small] = 0.0
+        out[flush] /= np.repeat(row_sums(out, offsets, groups=groups), lens)[flush]
     return out

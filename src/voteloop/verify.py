@@ -16,14 +16,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .answers import ExtractedAnswer, equivalent, extract_boxed, parse_answer
 from .fixed_point import check_fixed_point_equivalence
 from .optim import _direction_rows, _gradient_rows, _objective_rows, _pad_rows, _prompt_rows
-from .optim import _sup_rows, _tilt_or_raise, product_form_oracle
+from .optim import _sup_rows, closed_form_update, product_form_oracle
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy
 from .tasks import render_rational
 from .util import substream
@@ -100,10 +100,19 @@ def _random_tabular(rng: np.random.Generator, space: PromptSpace) -> TabularPoli
     )
 
 
-def _blocks(count: int) -> Iterator[range]:
-    """Instance indices 0..count-1, `_INSTANCE_BLOCK` at a time."""
+def _run_blocks(
+    result: SuiteResult, count: int, run_block: Callable[[range], list], key: str
+) -> float:
+    """Instances 0..count-1 of a blocked suite, `_INSTANCE_BLOCK` at a time:
+    `run_block` runs the instances of one block as the rows of one space
+    (its arrays are freed on return, before the next block is drawn), and
+    they are appended to `result`. Returns the largest detail[key], from 0.0."""
+    worst = 0.0
     for first in range(0, count, _INSTANCE_BLOCK):
-        yield range(first, min(first + _INSTANCE_BLOCK, count))
+        for instance in run_block(range(first, min(first + _INSTANCE_BLOCK, count))):
+            worst = max(worst, instance.detail[key])
+            result.instances.append(instance)
+    return worst
 
 
 # The closedform suite's log-weights, by beta and 0/1 reward: log(w) of the
@@ -129,24 +138,19 @@ def verify_closedform(count: int = 50, seed: int = 0) -> SuiteResult:
     `Generator.choice` makes for each anchor. Instances run in blocks of
     `_INSTANCE_BLOCK` as the rows of one space (prompt p{j} of instance idx
     is i{idx}/p{j}). A round is one `sample_batch` of the anchors and one
-    `_tilt_policy` (the update of the engine's tabular rounds) on the rows
-    of the instances still running, the other rows carrying over; a
+    `closed_form_update` (the update of the engine's tabular rounds) on the
+    rows of the instances still running, the other rows carrying over; a
     degenerate prompt raises. Rewards are answer-class equality with the
     anchor. `product_form_oracle` reads all rounds of the block at once.
     """
     result = SuiteResult("closedform")
-    worst = 0.0
-    for block in _blocks(count):
-        for instance in _closedform_block(seed, block):
-            worst = max(worst, instance.detail["max_dev"])
-            result.instances.append(instance)
+    worst = _run_blocks(result, count, partial(_closedform_block, seed), "max_dev")
     result.notes.append(f"max elementwise deviation {worst:.3e} (tolerance 1e-9)")
     return result
 
 
 def _closedform_block(seed: int, block: range) -> list[InstanceResult]:
-    """The closedform instances of `block`, run as the rows of one space
-    (the block's arrays are freed on return, before the next is drawn)."""
+    """The closedform instances of `block`, run as the rows of one space."""
     answers, probs, rounds, beta_index, uniforms = {}, {}, [], [], []
     for idx in block:
         rng = substream(seed, "closedform", idx)
@@ -158,7 +162,7 @@ def _closedform_block(seed: int, block: range) -> list[InstanceResult]:
         uniforms.append(rng.random((rounds[-1], len(table))))
     space = _space_of(answers)
     pi0 = TabularPolicy(space, probs)
-    sizes, bounds = [len(u[0]) for u in uniforms], space._bounds
+    sizes = [len(u[0]) for u in uniforms]
     instance_of = np.repeat(np.arange(len(block)), sizes)
     row_of = np.repeat(np.arange(len(space.prompts)), np.diff(space._offsets))
     beta_of = np.array(beta_index)[instance_of][row_of]  # per chain
@@ -172,10 +176,10 @@ def _closedform_block(seed: int, block: range) -> list[InstanceResult]:
         picks = policy.sample_batch([space.prompts[r] for r in at], u[:, None])[:, 0]
         anchor[at] = classes[space._offsets[at] + picks]
         log_w = _CLOSEDFORM_LOG_WEIGHTS[beta_of, (classes == anchor[row_of]).astype(np.intp)]
-        history.append({space.prompts[r]: log_w[bounds[r] : bounds[r + 1]] for r in at})
-        policy = _tilt_or_raise(policy, log_w, live)
+        history.append(np.where(live[row_of], log_w, 0.0))
+        policy = closed_form_update(policy, log_w, live)
 
-    oracle = product_form_oracle(pi0, history, log=True)
+    oracle = product_form_oracle(pi0, history)
     firsts = space._offsets[np.cumsum([0, *sizes[:-1]])]
     devs = np.maximum.reduceat(np.abs(policy._probs - oracle._probs), firsts).tolist()
     return [
@@ -254,11 +258,7 @@ def verify_gradients(count: int = 50, seed: int = 0, h: float = 1e-5) -> SuiteRe
     differences). The plain-Python sums are added per instance.
     """
     result = SuiteResult("gradients")
-    worst = 0.0
-    for block in _blocks(count):
-        for instance in _gradients_block(seed, block, h):
-            worst = max(worst, instance.detail["max_rel_err"])
-            result.instances.append(instance)
+    worst = _run_blocks(result, count, partial(_gradients_block, seed, h=h), "max_rel_err")
     result.notes.append(
         f"max relative gradient error {worst:.3e} (tolerance 1e-5, h={h:g}); "
         "step ascent and the certificate's supremum checked on every instance"

@@ -299,7 +299,7 @@ class TestTabularUpdate:
         config = RunConfig(k=9, rounds=4, patience=10, seed=21, transform="exponential", beta=0.1)
         result = run(config, corpus.space, corpus.base, hook)
         for m in range(1, len(result.weight_history) + 1):
-            oracle = product_form_oracle(corpus.base, result.weight_history[:m], log=True)
+            oracle = product_form_oracle(corpus.base, result.weight_history[:m])
             for x in corpus.space.prompts:
                 np.testing.assert_allclose(
                     result.policies[m].distribution(x),

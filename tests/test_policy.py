@@ -148,7 +148,7 @@ class TestSample:
         policy = TabularPolicy(space, {"p": weights})
         p = policy.distribution("p")
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = policy.sample_indices("p", count, ours)
+        got = policy.sample_batch(["p"], ours.random((1, count)))[0]
         want = theirs.choice(len(p), size=count, p=p)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -161,7 +161,7 @@ class TestSample:
         policy = TabularPolicy._trusted(space, np.array([0.5, 0.6, -0.1, 0.5, 0.4]))
         for prompt in space.prompts:
             with pytest.raises(ValueError):
-                policy.sample_indices(prompt, 3, np.random.default_rng(0))
+                policy.sample(prompt, 3, np.random.default_rng(0))
 
 
 def _space_and_weights(rows):
@@ -221,7 +221,7 @@ class TestSampleBatch:
         with pytest.raises(ValueError, match="'p1'"):
             policy.sample_batch(["p0", "p1"], np.zeros((2, 3)))
         with pytest.raises(ValueError, match="'p1'"):
-            policy.sample_indices("p1", 3, np.random.default_rng(0))
+            policy.sample("p1", 3, np.random.default_rng(0))
 
     def test_rejects_bad_input(self):
         policy = TabularPolicy.uniform(small_space())

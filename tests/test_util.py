@@ -1,4 +1,4 @@
-"""Substream derivation, batched substream draws, simplex normalization."""
+"""Substream derivation, batched substream draws, row normalization."""
 
 import tracemalloc
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voteloop import util
-from voteloop.util import normalize_simplex, substream, substream_random, total_variation
+from voteloop.policy import PromptSpace, TabularPolicy
+from voteloop.util import substream, substream_random
 
 
 class TestSubstream:
@@ -103,28 +104,89 @@ class TestSubstreamRandom:
             substream_random(0, [("gen",)], 0)
 
 
+def normalize_simplex(raw: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """The one-row normalize that `util.normalize_rows` replaced, kept as
+    its reference."""
+    raw = np.asarray(raw, dtype=float)
+    total = raw.sum()
+    out = raw.copy() if abs(total - 1.0) <= tol else raw / total
+    small = (out < util.TINY_PROB) & (out > 0)
+    if small.any():
+        out[small] = 0.0
+        out = out / out.sum()
+    return out
+
+
+def normalize_one(raw, tol: float = 0.0) -> np.ndarray:
+    return util.normalize_rows(np.asarray(raw, dtype=float), np.array([0, len(raw)]), tol)
+
+
+# Row entries: exact zeros, the denormal and sub-TINY_PROB range, and
+# ordinary masses.
+_ENTRIES = st.one_of(
+    st.just(0.0), st.floats(1e-320, 1e-299), st.floats(1e-6, 10.0)
+)
+
+
 class TestNormalizeSimplex:
+    """`util.normalize_rows` puts every row of a flat array on the simplex."""
+
     def test_scales_to_one(self):
-        out = normalize_simplex(np.array([2.0, 6.0]))
+        out = normalize_one([2.0, 6.0])
         np.testing.assert_allclose(out, [0.25, 0.75], rtol=0, atol=1e-15)
 
     def test_already_normalized_is_bitwise_stable(self):
         raw = np.random.default_rng(0).uniform(0.1, 2.0, size=5)
-        once = normalize_simplex(raw)
-        again = normalize_simplex(once, tol=1e-12)
+        once = normalize_one(raw)
+        again = normalize_one(once, tol=1e-12)
         assert np.array_equal(once, again)
 
     def test_flushes_denormal_range(self):
-        out = normalize_simplex(np.array([1.0, 1e-310]))
+        out = normalize_one([1.0, 1e-310])
         assert out[1] == 0.0 and out[0] == 1.0
 
     def test_rejects_bad_input(self):
-        for bad in ([], [0.0, 0.0], [-1.0, 2.0], [np.nan, 1.0]):
-            with pytest.raises(ValueError):
-                normalize_simplex(np.array(bad, dtype=float))
+        # normalize_rows trusts its input; TabularPolicy checks it first and
+        # names the first bad prompt.
+        space = PromptSpace(
+            {"p": ("a", "b"), "q": ("a", "b")}, {x: {"a": "1", "b": "2"} for x in "pq"}
+        )
+        for bad, problem in [
+            ([], "expected 2 probabilities"),
+            ([0.0, 0.0], "probability vector has zero mass"),
+            ([-1.0, 2.0], "probabilities must be finite and nonnegative"),
+            ([np.nan, 1.0], "probabilities must be finite and nonnegative"),
+            ([np.inf, 1.0], "probabilities must be finite and nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=f"^prompt 'q': {problem}"):
+                TabularPolicy(space, {"p": [0.5, 0.5], "q": np.array(bad, dtype=float)})
 
-
-def test_total_variation():
-    assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert total_variation([0.8, 0.2], [0.6, 0.4]) == pytest.approx(0.2, abs=1e-15)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(_ENTRIES, min_size=1, max_size=9).filter(lambda r: sum(r) > 0),
+                st.sampled_from(["raw", "normalized", "nudged"]),
+                st.floats(-1e-12, 1e-12),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        tol=st.sampled_from([0.0, 1e-12]),
+    )
+    def test_rows_equal_the_one_row_rule(self, rows, tol):
+        built = []
+        for entries, mode, nudge in rows:
+            row = np.array(entries)
+            if mode != "raw":
+                row = row / row.sum()  # within a few ulps of sum 1
+            if mode == "nudged":
+                row = row * (1.0 + nudge)  # within about 1e-12 of sum 1
+            built.append(row)
+        offsets = np.cumsum([0] + [len(r) for r in built])
+        flat = np.concatenate(built)
+        got = util.normalize_rows(flat, offsets, tol)
+        grouped = util.normalize_rows(flat, offsets, tol, tuple(util.length_groups(offsets)))
+        want = np.concatenate([normalize_simplex(r, tol) for r in built])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(grouped.view(np.uint64), want.view(np.uint64))

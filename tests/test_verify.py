@@ -39,6 +39,18 @@ from voteloop.verify import (
 )
 
 
+def stack_weights(space, weights):
+    """Flat log-weights of a prompt -> per-chain weights mapping, and the
+    mask of the prompts it covers; the others get log-weight 0."""
+    lens = np.diff(space._offsets).tolist()
+    parts = [
+        np.asarray(weights[x], dtype=float) if x in weights else np.ones(n)
+        for x, n in zip(space.prompts, lens)
+    ]
+    with np.errstate(divide="ignore"):
+        return np.log(np.concatenate(parts)), np.array([x in weights for x in space.prompts])
+
+
 def closedform_per_instance(count, seed):
     """verify_closedform one instance at a time, through the per-prompt
     weight mappings, `Generator.choice` and `equivalent`."""
@@ -59,8 +71,9 @@ def closedform_per_instance(count, seed):
                     [1.0 if equivalent(a, anchor) else 0.0 for a in space.answers(prompt)]
                 )
                 weights[prompt] = rewards if beta is None else np.exp(rewards / beta)
-            history.append(weights)
-            policy = closed_form_update(policy, weights)
+            log_w, rows = stack_weights(space, weights)
+            history.append(log_w)
+            policy = closed_form_update(policy, log_w, rows)
         oracle = product_form_oracle(pi0, history)
         dev = max(
             float(np.max(np.abs(policy.distribution(x) - oracle.distribution(x))))
@@ -173,7 +186,7 @@ def test_closedform_raises_on_a_row_choice_rejects(monkeypatch, corrupt):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(2, p=bad)
 
-    update = verify._tilt_or_raise
+    update = verify.closed_form_update
 
     def update_then_corrupt(prev, log_w, rows):
         probs = update(prev, log_w, rows)._probs.copy()
@@ -182,7 +195,7 @@ def test_closedform_raises_on_a_row_choice_rejects(monkeypatch, corrupt):
 
     # Instances of 2+ rounds draw their second anchors from a corrupt table.
     assert any(inst.detail["rounds"] >= 2 for inst in verify_closedform(count=10).instances)
-    monkeypatch.setattr(verify, "_tilt_or_raise", update_then_corrupt)
+    monkeypatch.setattr(verify, "closed_form_update", update_then_corrupt)
     with pytest.raises(ValueError, match="probabilities must be >= 0 and sum to 1"):
         verify_closedform(count=10)
 
@@ -199,8 +212,8 @@ def test_closedform_raises_on_a_degenerate_update(monkeypatch):
 def test_closedform_fails_an_update_that_ignores_the_row_mask(monkeypatch):
     # Tilting the rows of instances that have run all their rounds gives
     # them extra rounds the product form does not have.
-    update = verify._tilt_or_raise
-    monkeypatch.setattr(verify, "_tilt_or_raise", lambda prev, log_w, rows: update(prev, log_w))
+    update = verify.closed_form_update
+    monkeypatch.setattr(verify, "closed_form_update", lambda prev, log_w, rows: update(prev, log_w))
     suite = verify_closedform(count=64)
     assert not suite.passed
     assert all(inst.passed for inst in suite.instances if inst.detail["rounds"] == 5)
