@@ -375,8 +375,8 @@ class _PolicyBase:
 class TabularPolicy(_PolicyBase):
     """Explicit per-prompt probability table over chains.
 
-    Input vectors are checked (finite, nonnegative, some mass; an error
-    names the prompt), normalized on construction by `util.normalize_rows`
+    Input vectors are checked (finite, nonnegative, some mass, a finite
+    sum; an error names the prompt), normalized on construction by `util.normalize_rows`
     (sub-1e-300 entries flushed to zero) and stored as one read-only flat
     array.
     """
@@ -391,6 +391,9 @@ class TabularPolicy(_PolicyBase):
         )
         space._reject(~np.logical_or.reduceat(raw > 0, starts), "probability vector has zero mass")
         groups = space._length_groups()
+        with np.errstate(over="ignore"):
+            sums = row_sums(raw, space._offsets, groups=groups)
+        space._reject(np.isinf(sums), "probabilities must sum to a finite value")
         self._set_table(space, normalize_rows(raw, space._offsets, TABULAR_SUM_TOL, groups))
 
     @classmethod

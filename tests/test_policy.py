@@ -2,6 +2,7 @@
 entropy, marginals, and bit-exact checkpointing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestProb:
         for x in space.prompts:
             assert abs(tab.distribution(x).sum() - 1.0) <= 1e-12
             assert abs(soft.distribution(x).sum() - 1.0) <= 1e-9
+
+    def test_tabular_rejects_a_row_whose_sum_overflows(self):
+        # 1e308 + 1e308 is inf; dividing by it would store the row [0, 0].
+        space = PromptSpace(
+            {"q": ("c0",), "p": ("c0", "c1")}, {"q": {"c0": "a"}, "p": {"c0": "a", "c1": "b"}}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="prompt 'p': .*finite"):
+                TabularPolicy(space, {"q": (1e308,), "p": (1e308, 1e308)})
+            policy = TabularPolicy(space, {"q": (1e308,), "p": (1e308, 7e307)})
+        assert policy.distribution("q").tolist() == [1.0]
+        assert policy.distribution("p").sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_temperature_must_be_positive(self):
         space = small_space()
@@ -497,6 +511,13 @@ class TestCheckpoint:
         records = "p\tc0\t0x1p-1\np\tc1\t0x1p-1\n" + extra
         path = self._write_checkpoint(tmp_path, "# kind tabular\n" + records)
         with pytest.raises(ValueError, match="ckpt.policy: record .* is outside the prompt space"):
+            load_policy(path, space)
+
+    def test_rejects_a_row_whose_sum_overflows(self, tmp_path):
+        space = PromptSpace({"p": ("c0", "c1")}, {"p": {"c0": "a", "c1": "b"}})
+        big = (1e308).hex()
+        path = self._write_checkpoint(tmp_path, f"# kind tabular\np\tc0\t{big}\np\tc1\t{big}\n")
+        with pytest.raises(ValueError, match="ckpt.policy: prompt 'p': .*finite"):
             load_policy(path, space)
 
     def test_rejects_missing_records(self, tmp_path):
