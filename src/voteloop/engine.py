@@ -35,7 +35,7 @@ from .metrics import RoundReport, best_round_of
 from .optim import _realized_objective, _tilt_policy, solve_gradient
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import RewardTransform, log_transform
-from .util import _atomic_write, substream, substream_random
+from .util import _atomic_write, counter_random, substream
 
 __all__ = [
     "RunConfig",
@@ -272,9 +272,10 @@ def generate_round(
     dataset's `labels`), read by the baseline-shifted transform.
 
     Deterministic given the seed: every prompt draws from its own
-    (seed, "gen", round, prompt) substream (all prompts in one batch), and
+    counter-based (seed, "gen", round, prompt) stream, keyed by the space's
+    prompt digests (`util.counter_random`, all prompts in one call), and
     tie-breaks hash the answer multiset. All prompts are voted at once; only
-    tied votes build a (seed, "tie", round, prompt, ...) stream.
+    tied votes build a (seed, "tie", round, prompt, ...) `substream`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -283,9 +284,8 @@ def generate_round(
 
     weigh = _log_weigher(transform, round_index, prev_labels)
     order = prompts.prompts
-    draws = policy.sample_batch(
-        order, substream_random(seed, [("gen", round_index, x) for x in order], k)
-    )
+    uniforms = counter_random(seed, [("gen", round_index)], prompts._prompt_digests(), k)
+    draws = policy.sample_batch(order, uniforms)
     picks = prompts._offsets[:-1, None] + draws
     classes, labels = prompts._vote(
         picks, lambda r: partial(substream, seed, "tie", round_index, order[r])

@@ -4,9 +4,10 @@ maj@k accuracy: sample k candidates per prompt, take the majority answer
 (the training vote, over the space's answer-class ids), score 1 iff its
 class is the truth's class: the class of the chains whose answers are
 equivalent to the truth.
-k=1 is plain sampled accuracy. Evaluation draws from dedicated substreams
-("eval"/"eval-tie" scopes), so measuring never consumes training
-randomness.
+k=1 is plain sampled accuracy. Evaluation draws from its own streams:
+counter-based ("eval", round, repeat, prompt) draws (`util.counter_random`)
+and "eval-tie" substreams for tied votes, so measuring never consumes
+training randomness.
 
 Metrics serialize to a flat CSV (round,split,metric,value) plus a JSON
 summary naming the best round; floats are written with repr and re-read
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .util import substream, substream_random
+from .util import counter_random, substream
 
 __all__ = [
     "RoundReport",
@@ -52,9 +53,11 @@ class RoundReport:
 def _vote_hits(policy, prompts, k, truth_class, seed, eval_samples, round_index):
     """Whether the first draw and the k-vote of each (repeat, prompt) hit
     the truth class: two [eval_samples, len(prompts)] bool arrays. Each
-    (round, repeat, prompt) has its own substream; all are drawn and voted
-    in one batch, and only tied votes build an "eval-tie" stream. A stream's
-    first draw is its k = 1 draw, and one draw never ties: column 0 is maj@1.
+    (round, repeat, prompt) has its own counter-based stream, keyed by the
+    space's prompt digests; all are drawn in one `counter_random` call and
+    voted in one batch, and only tied votes build an "eval-tie" substream.
+    A stream's first draw is its k = 1 draw, and one draw never ties:
+    column 0 is maj@1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -62,10 +65,14 @@ def _vote_hits(policy, prompts, k, truth_class, seed, eval_samples, round_index)
         raise ValueError("eval_samples must be >= 1")
     space = policy.space
     n = len(prompts)
-    uniforms = substream_random(
-        seed, [("eval", round_index, rep, x) for rep in range(eval_samples) for x in prompts], k
+    rows = space._rows(prompts)
+    uniforms = counter_random(
+        seed,
+        [("eval", round_index, rep) for rep in range(eval_samples)],
+        space._prompt_digests()[rows],
+        k,
     )
-    starts = np.tile(space._offsets[space._rows(prompts)], eval_samples)
+    starts = np.tile(space._offsets[rows], eval_samples)
     picks = starts[:, None] + policy.sample_batch(list(prompts) * eval_samples, uniforms)
     classes, winner = space._vote(
         picks,

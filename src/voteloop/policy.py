@@ -18,7 +18,7 @@ rows of one length as one block, which adds each row in the order `np.sum`
 adds it alone, so batched results equal per-prompt ones bit for bit.
 
 Policies are immutable snapshots: every update constructs a new object, so
-concurrent reads are safe and sampling with per-prompt substreams is
+concurrent reads are safe and sampling with per-prompt streams is
 deterministic under any scheduling. Sampling draws by inverse CDF with the
 arithmetic of `Generator.choice`, so a chain-index draw equals
 `rng.choice(len(p), count, p=p)` bit for bit and leaves the stream in the
@@ -40,7 +40,7 @@ import numpy as np
 
 from .answers import answer_key
 from .rewards import vote_classes
-from .util import _atomic_write, length_groups, normalize_rows, row_sums
+from .util import _atomic_write, digest64, length_groups, normalize_rows, row_sums
 
 __all__ = [
     "PromptSpace",
@@ -125,6 +125,9 @@ class PromptSpace:
         # (_checkpoint_keys), built on first use.
         self._dataset_text: tuple | None = None
         self._checkpoint_keys: tuple[np.ndarray, np.ndarray] | None = None
+        # util.digest64 of every prompt id (_prompt_digests), built on the
+        # first draw.
+        self._digests: np.ndarray | None = None
 
     def __contains__(self, prompt: str) -> bool:
         return prompt in self._chains
@@ -171,6 +174,14 @@ class PromptSpace:
                 for array in group:
                     array.flags.writeable = False
         return self._groups
+
+    def _prompt_digests(self) -> np.ndarray:
+        """`util.digest64` of every prompt id, in row order (read-only uint64):
+        the prompt half of each round's `util.counter_random` keys."""
+        if self._digests is None:
+            self._digests = np.array([digest64(x) for x in self.prompts], dtype=np.uint64)
+            self._digests.flags.writeable = False
+        return self._digests
 
     def _flat_classes(self) -> np.ndarray:
         """Answer-class id of every chain, flat in the chain offsets: each

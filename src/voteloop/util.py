@@ -1,14 +1,12 @@
-"""Shared plumbing: named random substreams, row sums and normalization
-over flat per-chain arrays, and atomic file replacement."""
+"""Shared plumbing: named random substreams, counter-based per-round
+draws, row sums and normalization over flat per-chain arrays, and atomic
+file replacement."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 from contextlib import contextmanager
-from functools import lru_cache
-from itertools import accumulate
-from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -37,169 +35,69 @@ def _atomic_write(path):
         raise
 
 
-def _address_digest(seed: int, tags: Sequence[object]) -> bytes:
-    """The first 16 bytes of the SHA-256 of a (seed, *tags) address: the
-    UTF-8 bytes of the stringified seed and tags, joined by 0x1f."""
-    material = _SEP.join(map(str, (int(seed), *tags))).encode("utf-8")
-    return hashlib.sha256(material).digest()[:16]
-
-
 def substream(seed: int, *tags: object) -> np.random.Generator:
     """Independent generator for a (seed, *tags) address.
 
-    Tags are stringified and hashed with SHA-256, so the stream depends only
-    on the seed and the tag values -- never on call order, platform, or
-    PYTHONHASHSEED. Any two distinct addresses give statistically independent
-    streams.
+    The seed and tags are stringified, joined by 0x1f and hashed with
+    SHA-256, so the stream depends only on the seed and the tag values --
+    never on call order, platform, or PYTHONHASHSEED. Any two distinct
+    addresses give statistically independent streams.
     """
-    digest = _address_digest(seed, tags)
+    digest = hashlib.sha256(_SEP.join(map(str, (int(seed), *tags))).encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-# SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx,
-# numpy/random/src/pcg64/pcg64.h).
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Rows of one substream_random block hold at most this many draws.
-_BLOCK = 1 << 15
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-ratio
+# increment and the finalizer's multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _seed_sequence_states(words: np.ndarray) -> np.ndarray:
-    """`SeedSequence(row).generate_state(8, np.uint32)` for every row of an
-    [n, 4] uint32 entropy matrix, with numpy's hashmix/mix run column-wise."""
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(words[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    state = np.empty((len(words), 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state
+def digest64(text: str) -> int:
+    """The first 8 bytes, read little-endian, of the SHA-256 of the text's
+    UTF-8 bytes."""
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
-@lru_cache(maxsize=8)
-def _jump_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """[4, count] 32-bit limbs (least significant first) of M**(t+1) and of
-    sum_{i<=t+1} M**i mod 2**128, t = 1..count, M the PCG64 multiplier.
-    PCG64 seeds its state as (seed + inc) * M + inc and steps state * M + inc
-    before each output, so output t reads the state M**(t+1) * seed +
-    (sum_{i<=t+1} M**i) * inc: an LCG jumps ahead in closed form (Brown 1994)."""
-    powers = [pow(_PCG_MULT, t + 1, 1 << 128) for t in range(1, count + 1)]
-    totals = list(accumulate(powers, lambda a, b: (a + b) & _MASK128, initial=1 + _PCG_MULT))[1:]
-    tables = [
-        np.array([[v >> s & _MASK32 for v in t] for s in (0, 32, 64, 96)], np.uint64)
-        for t in (powers, totals)
-    ]
-    for table in tables:
-        table.flags.writeable = False  # shared by every caller through the cache
-    return tuple(tables)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on every entry of a uint64 array, in place
+    (numpy's uint64 array arithmetic wraps mod 2**64)."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX_A
+    z ^= z >> np.uint64(27)
+    z *= _MIX_B
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _mul_add_128(acc: list, a: np.ndarray, b: np.ndarray) -> None:
-    """Add the limbs of a * b mod 2**128 (broadcasting [4, ...] limb arrays)
-    to the four accumulators (arrays, or 0), carries left unpropagated."""
-    for i in range(4):
-        for j in range(4 - i):
-            product = a[i] * b[j]
-            if i + j == 3:
-                acc[3] += product  # only the low 32 bits of limb 3 are read
-            else:
-                acc[i + j] += product & np.uint64(_MASK32)
-                acc[i + j + 1] += product >> np.uint64(32)
+def counter_random(
+    seed: int, prefixes: Sequence[Sequence[object]], digests: np.ndarray, count: int
+) -> np.ndarray:
+    """Uniform draws in [0, 1) from a counter-based stream for every
+    (prefix, prompt) pair: a [len(prefixes) * len(digests), count] array
+    whose row i * len(digests) + j is the stream of prefixes[i] and the
+    prompt whose `digest64` is digests[j].
 
-
-def _address_digests(seed: int, addresses: Sequence[Sequence[object]]) -> bytes:
-    """The full SHA-256 digest of every address's bytes (as
-    `_address_digest` builds them), concatenated. The hash of an address's
-    prefix (all tags but the last) is copied for each following address
-    whose prefix tags are the same objects."""
-    seed_text = str(int(seed))
-    digests = []
-    append = digests.append
-    head, width, prefix = (), -1, None
-    for tags in addresses:
-        if len(tags) != width or not all(map(is_, tags, head)):
-            if not tags:
-                append(hashlib.sha256(seed_text.encode()).digest())
-                continue
-            head, width = tuple(tags[:-1]), len(tags)
-            prefix = hashlib.sha256(_SEP.join((seed_text, *map(str, head), "")).encode())
-        digest = prefix.copy()
-        digest.update(str(tags[-1]).encode())
-        append(digest.digest())
-    return b"".join(digests)
-
-
-def substream_random(seed: int, addresses: Sequence[Sequence[object]], count: int) -> np.ndarray:
-    """Uniform draws for many stream addresses at once: row r equals
-    `substream(seed, *addresses[r]).random(count)` bit for bit.
-
-    Addresses are hashed as `substream` hashes them, and SeedSequence
-    mixing and PCG64 (a 128-bit LCG with an XSL-RR output, O'Neill 2014)
-    run as arrays of 32-bit limbs over blocks of at most `_BLOCK` draws:
-    output t's state comes from the jump-ahead tables, and the draw is
-    `(xsl_rr(state) >> 11) * 2**-53`, as `Generator.random` makes it.
+    A prefix is (purpose, round[, repeat]); its text is the seed and its
+    tags stringified and joined by 0x1f, as `substream` builds an address.
+    Row r's key is `mix64(digest64(prefix text) ^ prompt digest)`, and its
+    draw t (t = 0..count-1) is `(mix64(key + (t + 1) * gamma) >> 11) *
+    2**-53`, with SplitMix64's finalizer `mix64` and increment gamma, mod
+    2**64 (a counter-based stream: Salmon et al., SC'11). A draw reads
+    nothing but its key and counter, so rows are independent of the other
+    rows of a call and of their order. numpy's `Philox` is not used because
+    it needs 64 x 64 -> 128-bit products, which numpy has no ufunc for; the
+    SplitMix finalizer needs only wrapping uint64 multiply, xor and shift.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = np.empty((len(addresses), count))
-    powers, totals = _jump_tables(count)
-    mask = np.uint64(_MASK32)
-    step = max(1, _BLOCK // count)
-    for lo in range(0, len(addresses), step):
-        digests = _address_digests(seed, addresses[lo : lo + step])
-        words = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4].astype(np.uint32)
-        w = _seed_sequence_states(words).astype(np.uint64).T
-        # seed = (w0 + w1 2**32) 2**64 + w2 + w3 2**32; the increment is
-        # (w4 + w5 2**32) 2**65 + (w6 + w7 2**32) 2**1 + 1, mod 2**128.
-        seed_limbs = w[[2, 3, 0, 1]]
-        inc = w[[6, 7, 4, 5]] << np.uint64(1)
-        inc[1:] |= w[[6, 7, 4]] >> np.uint64(31)
-        inc[0] |= np.uint64(1)
-        inc &= mask
-        # The longer of rows and draws goes on the last axis (numpy's inner loop).
-        wide = count >= len(words)
-        rows_at, draws_at = np.s_[:, :, None], np.s_[:, None, :]
-        if not wide:
-            rows_at, draws_at = draws_at, rows_at
-        acc = [0] * 4
-        _mul_add_128(acc, seed_limbs[rows_at], powers[draws_at])
-        _mul_add_128(acc, inc[rows_at], totals[draws_at])
-        for i in range(3):
-            acc[i + 1] += acc[i] >> np.uint64(32)
-            acc[i] &= mask
-        # XSL-RR: rotate (high 64 bits ^ low 64 bits) right by the top 6
-        # bits; the shifts drop the bits of acc[3] above 32.
-        x = (acc[1] ^ acc[3]) << np.uint64(32) | (acc[0] ^ acc[2])
-        rot = (acc[3] >> np.uint64(26)) & np.uint64(63)
-        x = (x >> rot) | (x << (-rot & np.uint64(63)))
-        x >>= np.uint64(11)
-        np.multiply(x if wide else x.T, 1.0 / 9007199254740992.0, out=out[lo : lo + step])
-    return out
+    heads = [digest64(_SEP.join(map(str, (int(seed), *tags)))) for tags in prefixes]
+    keys = np.array(heads, dtype=np.uint64)[:, None] ^ np.asarray(digests, dtype=np.uint64)
+    counters = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    z = _mix64(np.add.outer(_mix64(keys.ravel()), counters))
+    z >>= np.uint64(11)
+    return z * (1.0 / 9007199254740992.0)
 
 
 # Probabilities below this are flushed to zero during normalization to keep

@@ -258,14 +258,16 @@ class TestGenerateRound:
 
     def test_tie_streams_only_for_tied_votes(self, monkeypatch):
         scopes, batches = [], []
-        real, real_batch = engine.substream, engine.substream_random
+        real, real_batch = engine.substream, engine.counter_random
         monkeypatch.setattr(
             engine, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
         )
         monkeypatch.setattr(
             engine,
-            "substream_random",
-            lambda seed, addresses, count: batches.append(addresses) or real_batch(seed, addresses, count),
+            "counter_random",
+            lambda seed, prefixes, digests, count: batches.append(
+                [tags for tags in prefixes for _ in digests]
+            ) or real_batch(seed, prefixes, digests, count),
         )
         space = PromptSpace(
             {f"p{i}": ("c0", "c1") for i in range(40)},
@@ -274,7 +276,7 @@ class TestGenerateRound:
         ds = generate_round(TabularPolicy.uniform(space), space, k=4, seed=3)
         ties = int((ds.rewards.sum(axis=1) == 2).sum())  # 2 votes each
         assert 0 < ties < 40
-        # One batched draw over every prompt's "gen" address.
+        # One batched draw over every prompt's "gen" stream.
         assert len(batches) == 1
         assert [tags[0] for tags in batches[0]] == ["gen"] * 40
         assert scopes.count("tie") == ties == len(scopes)

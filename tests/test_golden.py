@@ -2,10 +2,10 @@
 five `verify` suites' `--out` reports.
 
 The digests cover every byte of `checkpoints/` and `datasets/`, so they
-pin the whole random-stream contract: sampling substreams, vote tie-breaks
-(the tabular run has 5 tied votes of 150, the softmax run 2 of 50),
-reward weights and both update backends. `metrics.csv` and `summary.json`
-pin the evaluation: the maj@1/maj@k votes, mean entropies, realized
+pin the whole random-stream contract: the counter-based sampling streams,
+vote tie-breaks (the tabular run has 8 tied votes of 150, the softmax run
+none of 50), reward weights and both update backends. `metrics.csv` and
+`summary.json` pin the evaluation: the maj@1/maj@k votes, mean entropies, realized
 objectives and the best round. A change that moves any of them must say
 so and re-record the digests below. The verify reports (seed 0) pin each
 suite's instances and their detail, byte for byte; two more reports (150
@@ -34,16 +34,16 @@ RUNS = {
 
 GOLDEN = {
     "tabular-shifted": {
-        "checkpoints": "c248a63c208da73de6048998b4f1689e0fc1e2038dad74e9769a77b0047e2072",
-        "datasets": "bb41c5eb7e81d8633fc35a13bc8eef12455788abb126a81283f311b854142423",
-        "metrics.csv": "4d8ba2618ae585ac98f9bdca719d622b02049b542267b68d832fe18df0e1cb52",
-        "summary.json": "fb710e9af7ef9d9e6777e42f02d2df7ec414519517722b6e2367d0fd4b594f2e",
+        "checkpoints": "69101ee80a59d6a2c56887f05f5cedb36ccad0fae50c73bb21e7658505762cc7",
+        "datasets": "281ecf2caf2e86dfc5fb7ea87d2d8d08b54314a0f7a46e467b67a81dfdf0c87d",
+        "metrics.csv": "4534a12ecb78db0ae30c611e178dc388d5af24d0b969110de552426f4a66269d",
+        "summary.json": "cb39590fa252b07d945f9841ddbcfcf74f044425c482841dc2589505e8324a2c",
     },
     "softmax": {
-        "checkpoints": "da314872f21d961e349d9bb4e5c06db33cb66f8ce11b97be5a4385ebf6b8b085",
-        "datasets": "1888db86e657c3819fcf91d2380655043a70aca8b3f504b9351b055f8de62aba",
-        "metrics.csv": "31bb2d9fce6b98821710985696021f32be3880e86bddeb6ec33ddef29dca2b35",
-        "summary.json": "837eb637e0dd6c328ce02620c45ddc537df2053fa902ff5426f5f8a45845b88d",
+        "checkpoints": "4a2df375b306a6e9f2924bd56f40304a2e1b2ea0063e6ca44f8a513977c20491",
+        "datasets": "3cba17b8383b8b9959026349bdeb269df79571a8851b697e72a80d6e2ad9268a",
+        "metrics.csv": "fe2596bf87d0fd3f8b04bfdab716f0fc7347c20b729ce61f09fa48e638fece59",
+        "summary.json": "4cc6587a2660dd7a4d1f249525ddd7f2b0bead6855e8c29f39dd4f0f98c7bf22",
     },
 }
 

@@ -96,14 +96,16 @@ class TestMajAtK:
 
     def test_tie_streams_only_for_tied_votes(self, monkeypatch):
         scopes, batches = [], []
-        real, real_batch = metrics.substream, metrics.substream_random
+        real, real_batch = metrics.substream, metrics.counter_random
         monkeypatch.setattr(
             metrics, "substream", lambda seed, scope, *tags: scopes.append(scope) or real(seed, scope, *tags)
         )
         monkeypatch.setattr(
             metrics,
-            "substream_random",
-            lambda seed, addresses, count: batches.append(addresses) or real_batch(seed, addresses, count),
+            "counter_random",
+            lambda seed, prefixes, digests, count: batches.append(
+                [tags for tags in prefixes for _ in digests]
+            ) or real_batch(seed, prefixes, digests, count),
         )
         space = two_class_space(30)
         sure = TabularPolicy(space, {x: (1.0, 0.0) for x in space.prompts})
