@@ -387,9 +387,9 @@ class TabularPolicy(_PolicyBase):
     """Explicit per-prompt probability table over chains.
 
     Input vectors are checked (finite, nonnegative, some mass, a finite
-    sum; an error names the prompt), normalized on construction by `util.normalize_rows`
-    (sub-1e-300 entries flushed to zero) and stored as one read-only flat
-    array.
+    sum; an error names the prompt), normalized on construction by
+    `util.normalize_rows` (sub-1e-300 entries flushed to zero) and stored
+    as one read-only flat array.
     """
 
     kind = "tabular"
