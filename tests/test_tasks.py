@@ -163,6 +163,33 @@ class TestMakeCorpus:
             CorpusSpec(margin=0.7)
 
 
+def assert_same_task(a, b):
+    assert (a.prompt, a.chains, a.answers, a.truth) == (b.prompt, b.chains, b.answers, b.truth)
+    assert (a.correct_mass, a.distractor_masses) == (b.correct_mass, b.distractor_masses)
+    assert a.probs.dtype == b.probs.dtype and np.array_equal(a.probs, b.probs)
+
+
+class TestCorpusLocality:
+    """A task is a function of (seed, split, index) and the spec alone: it
+    does not depend on how many other tasks the corpus holds."""
+
+    @pytest.mark.parametrize("surface_forms", [1, 3])
+    def test_small_corpus_is_a_prefix_of_a_large_one(self, surface_forms):
+        small = make_corpus(CorpusSpec(n_train=40, n_test=10, surface_forms=surface_forms, seed=3))
+        large = make_corpus(CorpusSpec(n_train=400, n_test=100, surface_forms=surface_forms, seed=3))
+        for split, count in (("train", 40), ("test", 10)):
+            assert small.splits[split] == large.splits[split][:count]
+            for x in small.splits[split]:
+                assert_same_task(small.tasks[x], large.tasks[x])
+
+    def test_train_tasks_do_not_depend_on_n_test(self):
+        one = make_corpus(CorpusSpec(n_train=40, n_test=1, seed=3))
+        many = make_corpus(CorpusSpec(n_train=40, n_test=300, seed=3))
+        assert one.splits["train"] == many.splits["train"]
+        for x in one.splits["train"]:
+            assert_same_task(one.tasks[x], many.tasks[x])
+
+
 class TestVoteDivergence:
     def test_equiv_vote_beats_exact_string_vote(self):
         # Two surface forms of 1/2 plus a doubled distractor: the naive
