@@ -16,6 +16,7 @@ the training path has no code path that reads them.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -210,27 +211,26 @@ def make_corpus(spec: CorpusSpec) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, tasks_path, labels_path) -> None:
-    """Write task records and truth labels as separate JSON-lines files."""
-    with open(tasks_path, "w", encoding="utf-8") as fh:
-        for split, prompts in corpus.splits.items():
-            for prompt in prompts:
-                task = corpus.tasks[prompt]
-                fh.write(
-                    json.dumps(
-                        {
-                            "prompt": prompt,
-                            "split": split,
-                            "chains": list(task.chains),
-                            "answers": task.answers,
-                            "probs": [float(v) for v in task.probs],
-                        }
-                    )
-                    + "\n"
-                )
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        for prompts in corpus.splits.values():
-            for prompt in prompts:
-                fh.write(json.dumps({"prompt": prompt, "truth": corpus.truth[prompt]}) + "\n")
+    """Write task records and truth labels as separate JSON-lines files.
+
+    Each line is the bytes `json.dumps` writes for the record (ASCII
+    escapes, ", " and ": " separators, `repr` floats), built from the
+    encoded strings and written in one call per file.
+    """
+    tasks, labels = [], []
+    for split, prompts in corpus.splits.items():
+        for prompt in prompts:
+            task = corpus.tasks[prompt]
+            answers = ", ".join(f"{_quote(c)}: {_quote(a)}" for c, a in task.answers.items())
+            tasks.append(
+                f'{{"prompt": {_quote(prompt)}, "split": {_quote(split)}, '
+                f'"chains": [{", ".join(map(_quote, task.chains))}], "answers": {{{answers}}}, '
+                f'"probs": [{", ".join(map(repr, task.probs.tolist()))}]}}\n'
+            )
+            labels.append(f'{{"prompt": {_quote(prompt)}, "truth": {_quote(corpus.truth[prompt])}}}\n')
+    for path, lines in ((tasks_path, tasks), (labels_path, labels)):
+        with open(path, "wb") as fh:
+            fh.write("".join(lines).encode("ascii"))
 
 
 def load_corpus(tasks_path) -> tuple[PromptSpace, TabularPolicy, dict[str, tuple[str, ...]]]:

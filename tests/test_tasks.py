@@ -1,5 +1,7 @@
 """Synthetic corpus generation: margins, ceilings, surface forms, files."""
 
+import dataclasses
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from voteloop.answers import equivalent
 from voteloop.rewards import majority_vote
 from voteloop.tasks import (
+    Corpus,
     CorpusSpec,
     load_corpus,
     load_labels,
@@ -202,7 +205,64 @@ class TestVoteDivergence:
         assert equivalent(winner, "1/2")
 
 
+def save_corpus_by_record(corpus, tasks_path, labels_path):
+    """save_corpus as it was before its one-write form: one `json.dumps`
+    per record."""
+    with open(tasks_path, "w", encoding="utf-8") as fh:
+        for split, prompts in corpus.splits.items():
+            for prompt in prompts:
+                task = corpus.tasks[prompt]
+                fh.write(
+                    json.dumps(
+                        {
+                            "prompt": prompt,
+                            "split": split,
+                            "chains": list(task.chains),
+                            "answers": task.answers,
+                            "probs": [float(v) for v in task.probs],
+                        }
+                    )
+                    + "\n"
+                )
+    with open(labels_path, "w", encoding="utf-8") as fh:
+        for prompts in corpus.splits.values():
+            for prompt in prompts:
+                fh.write(json.dumps({"prompt": prompt, "truth": corpus.truth[prompt]}) + "\n")
+
+
+def assert_saves_like_the_record_writer(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "tasks.jsonl", tmp_path / "labels.jsonl")
+    save_corpus_by_record(corpus, tmp_path / "ref_tasks.jsonl", tmp_path / "ref_labels.jsonl")
+    for name in ("tasks.jsonl", "labels.jsonl"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
+
+
 class TestCorpusFiles:
+    @pytest.mark.parametrize("surface_forms", [1, 3])
+    def test_files_equal_the_per_record_writer(self, surface_forms, tmp_path):
+        corpus = make_corpus(small_spec(surface_forms=surface_forms))
+        assert_saves_like_the_record_writer(corpus, tmp_path)
+
+    def test_non_ascii_quotes_and_backslashes_equal_the_per_record_writer(self, tmp_path):
+        base = make_corpus(small_spec(n_train=3, n_test=1))
+        odd = ["\\frac{1}{2}", "é/ü", 'say "7"', "\t\x1f\u2028", "", "-0.5", "\U0001d7d9"]
+        tasks, truth, splits = {}, {}, {}
+        for i, (split, prompts) in enumerate(base.splits.items()):
+            renamed = []
+            for j, x in enumerate(prompts):
+                prompt = f"{x}-ß\\{i}{j}"
+                task = base.tasks[x]
+                answers = {c: odd[(j + n) % len(odd)] for n, c in enumerate(task.chains)}
+                probs = task.probs.copy()
+                probs[0] = -0.0 if j == 0 else 1e-300
+                tasks[prompt] = dataclasses.replace(task, prompt=prompt, answers=answers, probs=probs)
+                truth[prompt] = odd[j % len(odd)]
+                renamed.append(prompt)
+            splits[f"{split}-ä"] = tuple(renamed)
+        corpus = Corpus(space=base.space, base=base.base, splits=splits, truth=truth,
+                        tasks=tasks, spec=base.spec)
+        assert_saves_like_the_record_writer(corpus, tmp_path)
+
     def test_round_trip(self, tmp_path):
         corpus = make_corpus(small_spec())
         tasks_path = tmp_path / "tasks.jsonl"
