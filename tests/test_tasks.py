@@ -192,6 +192,14 @@ class TestCorpusLocality:
         for x in one.splits["train"]:
             assert_same_task(one.tasks[x], many.tasks[x])
 
+    def test_wider_prompt_ids_keep_their_tasks(self):
+        # 1001 train tasks pad their ids to four digits: train-0999, not train-999.
+        narrow = make_corpus(CorpusSpec(n_train=1000, n_test=1, seed=3))
+        wide = make_corpus(CorpusSpec(n_train=1001, n_test=1, seed=3))
+        assert wide.splits["train"][999] == "train-0999"
+        for x, y in zip(narrow.splits["train"], wide.splits["train"]):
+            assert_same_task(narrow.tasks[x], dataclasses.replace(wide.tasks[y], prompt=x))
+
 
 class TestVoteDivergence:
     def test_equiv_vote_beats_exact_string_vote(self):
