@@ -11,6 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
+# numpy loads numpy.random lazily. Load it with this module, so that its
+# import is paid at start-up and not by the first tie-break of a round.
+from numpy.random import SeedSequence, default_rng
+
 _SEP = "\x1f"
 
 
@@ -45,7 +49,7 @@ def substream(seed: int, *tags: object) -> np.random.Generator:
     """
     digest = hashlib.sha256(_SEP.join(map(str, (int(seed), *tags))).encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return default_rng(SeedSequence(words))
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-ratio
