@@ -16,15 +16,17 @@ the training path has no code path that reads them.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Mapping
 
 import numpy as np
 
 from .policy import PromptSpace, TabularPolicy
-from .util import substream
+from .util import _SEP, counter_random, digest64
 
 __all__ = [
     "CorpusSpec",
@@ -103,72 +105,41 @@ class SyntheticTask:
         return self.correct_mass > max(self.distractor_masses)
 
 
-def _draw_value(rng: np.random.Generator, taken: set[Fraction]) -> Fraction:
-    while True:
-        num = int(rng.integers(-50, 200))
-        den = int(rng.integers(1, 13))
-        value = Fraction(num, den)
-        if value not in taken:
-            taken.add(value)
-            return value
+# Layout attempts per draw block; make_corpus stops after 10,000 per task.
+_ATTEMPTS = 4
+_PERMUTATIONS = tuple(permutations(_FORMS))
 
 
-def _two_forms(value: Fraction, rng: np.random.Generator) -> tuple[str, str]:
-    """A rendering for the chain and an equivalent one for the label."""
-    forms = list(rng.permutation(_FORMS))
-    first = render_rational(value, forms[0])
-    for other in forms[1:]:
-        alt = render_rational(value, other)
-        if alt != first:
-            return first, alt
-    return first, first
-
-
-def _make_task(prompt: str, spec: CorpusSpec, rng: np.random.Generator) -> SyntheticTask:
-    lo, hi = spec.p_range
-    for _ in range(10_000):
-        p = float(rng.uniform(lo, hi))
-        n_distract = int(rng.integers(1, spec.max_distractors + 1))
-        rel = rng.dirichlet(np.ones(n_distract))
-        masses = (1.0 - p) * rel
-        if abs(p - float(masses.max())) >= spec.margin:
-            break
-    else:
-        raise RuntimeError("could not draw a class layout satisfying the margin")
-
-    taken: set[Fraction] = set()
-    truth_value = _draw_value(rng, taken)
-    truth_chain_text, truth_label = _two_forms(truth_value, rng)
-    answers: list[str] = []
-    probs: list[float] = []
-    if spec.surface_forms == 1:
-        answers.append(truth_chain_text)
-        probs.append(p)
-    else:
-        # Spread the truth mass over several equivalent surface forms.
-        texts = {render_rational(truth_value, f) for f in _FORMS}
-        texts = sorted(texts)[: spec.surface_forms]
-        for text in texts:
-            answers.append(text)
-            probs.append(p / len(texts))
-    for mass in masses:
-        value = _draw_value(rng, taken)
-        answers.append(render_rational(value, _FORMS[int(rng.integers(len(_FORMS)))]))
-        probs.append(float(mass))
-
-    order = rng.permutation(len(answers))
-    chains = tuple(f"c{i}" for i in range(len(answers)))
-    answer_map = {chains[j]: answers[i] for j, i in enumerate(order)}
-    prob_vec = np.array([probs[i] for i in order], dtype=float)
-    return SyntheticTask(
-        prompt=prompt,
-        chains=chains,
-        answers=answer_map,
-        probs=prob_vec,
-        truth=truth_label,
-        correct_mass=p,
-        distractor_masses=tuple(float(m) for m in masses),
-    )
+def _draw_block(spec: CorpusSpec, digests: np.ndarray, block: int):
+    """One draw block for the prompts with these `digest64`s: the rows it
+    settles (a layout attempt meets the margin, enough values are distinct)
+    and, per row, that attempt's p, distractor count and Dirichlet(1, ...,
+    1) masses, the distinct reduced (num, den) values in draw order (truth
+    first), the truth's form permutation, distractor forms and order keys."""
+    m, a = spec.max_distractors, _ATTEMPTS
+    sizes = (a, a, a * m, m + 3, m + 3, 1, m, m + 3)
+    u = counter_random(spec.seed, [("task", block) if block else ("task",)], digests, sum(sizes))
+    p_u, n_u, e_u, num_u, den_u, perm_u, form_u, keys = np.split(u, np.cumsum(sizes)[:-1], axis=1)
+    p = spec.p_range[0] + (spec.p_range[1] - spec.p_range[0]) * p_u
+    n = 1 + (n_u * m).astype(np.int64)
+    e = -np.log1p(-e_u.reshape(-1, a, m))
+    e[np.arange(m) >= n[..., None]] = 0.0
+    masses = (1.0 - p)[..., None] * (e / e.sum(axis=2, keepdims=True))
+    fits = np.abs(p - masses.max(axis=2)) >= spec.margin
+    rows, pick = np.arange(len(digests)), fits.argmax(axis=1)
+    p, n, masses = p[rows, pick], n[rows, pick], masses[rows, pick]
+    num, den = (num_u * 250).astype(np.int64) - 50, (den_u * 12).astype(np.int64) + 1
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    # One key per (row, reduced value); np.unique finds each key's first draw.
+    key = (num + 50) * 16 + den + np.arange(len(num))[:, None] * 4096
+    repeat = np.ones(num.shape, bool)
+    repeat.flat[np.unique(key, return_index=True)[1]] = False
+    first = np.argsort(repeat, axis=1, kind="stable")[:, : m + 1]
+    settled = fits.any(axis=1) & ((~repeat).sum(axis=1) > n)
+    values = [np.take_along_axis(num, first, 1), np.take_along_axis(den, first, 1)]
+    perm = (perm_u[:, 0] * len(_PERMUTATIONS)).astype(np.int64)
+    return settled, [p, n, masses, *values, perm, (form_u * len(_FORMS)).astype(np.int64), keys]
 
 
 @dataclass
@@ -190,24 +161,51 @@ class Corpus:
 
 
 def make_corpus(spec: CorpusSpec) -> Corpus:
-    """Deterministically generate train/test tasks and the base policy."""
-    tasks: dict[str, SyntheticTask] = {}
-    splits: dict[str, tuple[str, ...]] = {}
-    for split, count in (("train", spec.n_train), ("test", spec.n_test)):
-        width = max(3, len(str(count - 1)))
-        prompts = []
-        for i in range(count):
-            prompt = f"{split}-{i:0{width}d}"
-            tasks[prompt] = _make_task(prompt, spec, substream(spec.seed, "task", split, i))
-            prompts.append(prompt)
-        splits[split] = tuple(prompts)
+    """Deterministically generate train/test tasks and the base policy.
 
-    chains = {x: tasks[x].chains for x in tasks}
-    answers = {x: tasks[x].answers for x in tasks}
-    space = PromptSpace(chains, answers)
-    base = TabularPolicy(space, {x: tasks[x].probs for x in tasks})
-    truth = {x: tasks[x].truth for x in tasks}
-    return Corpus(space=space, base=base, splits=splits, truth=truth, tasks=tasks, spec=spec)
+    All tasks come from one `util.counter_random` call: row r is keyed by
+    the ("task",) prefix and the `digest64` of its (split, index) address,
+    so a task depends on the seed, its split and index and the spec alone.
+    The prompt id is not the key: its zero padding widens with the split's
+    size. Rows a block does not settle draw the next block, under ("task",
+    block).
+    """
+    sizes = (("train", spec.n_train), ("test", spec.n_test))
+    prompts = {s: tuple(f"{s}-{i:0{max(3, len(str(n - 1)))}d}" for i in range(n)) for s, n in sizes}
+    ids = prompts["train"] + prompts["test"]
+    digests = np.array([digest64(f"{s}{_SEP}{i}") for s, n in sizes for i in range(n)], dtype=np.uint64)
+    settled, fields = _draw_block(spec, digests, 0)
+    todo = np.flatnonzero(~settled)
+    for block in range(1, 10_000 // _ATTEMPTS):
+        if not todo.size:
+            break
+        settled, drawn = _draw_block(spec, digests[todo], block)
+        for out, values in zip(fields, drawn):
+            out[todo[settled]] = values[settled]
+        todo = todo[~settled]
+    if todo.size:
+        raise RuntimeError("could not draw a class layout satisfying the margin")
+
+    tasks, fields = {}, [f.tolist() for f in fields]
+    # render_rational per reduced (num, den, form); a corpus has at most 3,000 pairs.
+    rendered = cache(lambda num, den, form: render_rational(Fraction(num, den), form))
+    for prompt, p, n, masses, nums, dens, perm, forms, keys in zip(ids, *fields):
+        texts = [rendered(nums[0], dens[0], f) for f in _PERMUTATIONS[perm]]
+        # The chain's rendering and an equivalent, different one for the label.
+        label = next((text for text in texts[1:] if text != texts[0]), texts[0])
+        # With several surface forms, the truth mass is spread over them.
+        answers = texts[:1] if spec.surface_forms == 1 else sorted(set(texts))[: spec.surface_forms]
+        probs = [p / len(answers)] * len(answers) + masses[:n]
+        answers += [rendered(nums[j], dens[j], _FORMS[forms[j - 1]]) for j in range(1, n + 1)]
+        order = sorted(range(len(answers)), key=keys.__getitem__)
+        chains = tuple(f"c{i}" for i in range(len(answers)))
+        amap = {chains[j]: answers[i] for j, i in enumerate(order)}
+        probs = np.array([probs[i] for i in order])
+        tasks[prompt] = SyntheticTask(prompt, chains, amap, probs, label, p, tuple(masses[:n]))
+
+    space = PromptSpace({x: tasks[x].chains for x in ids}, {x: tasks[x].answers for x in ids})
+    base = TabularPolicy(space, {x: tasks[x].probs for x in ids})
+    return Corpus(space, base, prompts, {x: tasks[x].truth for x in ids}, tasks, spec)
 
 
 def save_corpus(corpus: Corpus, tasks_path, labels_path) -> None:
@@ -220,14 +218,14 @@ def save_corpus(corpus: Corpus, tasks_path, labels_path) -> None:
     tasks, labels = [], []
     for split, prompts in corpus.splits.items():
         for prompt in prompts:
-            task = corpus.tasks[prompt]
-            answers = ", ".join(f"{_quote(c)}: {_quote(a)}" for c, a in task.answers.items())
+            task, key = corpus.tasks[prompt], _json_str(prompt)
+            answers = ", ".join(f"{_json_str(c)}: {_json_str(a)}" for c, a in task.answers.items())
             tasks.append(
-                f'{{"prompt": {_quote(prompt)}, "split": {_quote(split)}, '
-                f'"chains": [{", ".join(map(_quote, task.chains))}], "answers": {{{answers}}}, '
+                f'{{"prompt": {key}, "split": {_json_str(split)}, '
+                f'"chains": [{", ".join(map(_json_str, task.chains))}], "answers": {{{answers}}}, '
                 f'"probs": [{", ".join(map(repr, task.probs.tolist()))}]}}\n'
             )
-            labels.append(f'{{"prompt": {_quote(prompt)}, "truth": {_quote(corpus.truth[prompt])}}}\n')
+            labels.append(f'{{"prompt": {key}, "truth": {_json_str(corpus.truth[prompt])}}}\n')
     for path, lines in ((tasks_path, tasks), (labels_path, labels)):
         with open(path, "wb") as fh:
             fh.write("".join(lines).encode("ascii"))

@@ -1,16 +1,18 @@
 """Golden artifacts: pinned sha256 digests of two small runs and of the
 five `verify` suites' `--out` reports.
 
-The digests cover every byte of `checkpoints/` and `datasets/`, so they
-pin the whole random-stream contract: the counter-based sampling streams,
-vote tie-breaks (the tabular run has 8 tied votes of 150, the softmax run
-none of 50), reward weights and both update backends. `metrics.csv` and
-`summary.json` pin the evaluation: the maj@1/maj@k votes, mean entropies, realized
-objectives and the best round. A change that moves any of them must say
-so and re-record the digests below. The verify reports (seed 0) pin each
-suite's instances and their detail, byte for byte; two more reports (150
-instances, seed 1000) cross the blocks of 64 instances that the closedform
-and gradients suites run at a time.
+The digests cover every byte of `checkpoints/` and `datasets/` and the
+corpus files `tasks.jsonl` and `labels.jsonl`, so they pin the whole
+random-stream contract: the counter-based corpus draw and sampling streams,
+vote tie-breaks (the tabular run has 1 tied training vote of 150, the
+softmax run 4 of 50; `TIED_VOTES` checks that both still tie), reward
+weights and both update backends. `metrics.csv` and `summary.json` pin the
+evaluation: the maj@1/maj@k votes, mean entropies, realized objectives and
+the best round. A change that moves any of them must say so and re-record
+the digests below. The verify reports (seed 0) pin each suite's instances
+and their detail, byte for byte; two more reports (150 instances, seed
+1000) cross the blocks of 64 instances that the closedform and gradients
+suites run at a time.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from voteloop import engine
 from voteloop.cli import main
 
 RUNS = {
@@ -27,25 +30,32 @@ RUNS = {
         "--rounds", "3", "--patience", "3", "--seed", "5", "--corpus-seed", "5",
     ],
     "softmax": [
-        "--backend", "softmax", "--corpus-n-train", "20", "--corpus-n-test", "5",
-        "--rounds", "2", "--seed", "2", "--corpus-seed", "2",
+        "--backend", "softmax", "--corpus-surface-forms", "3", "--corpus-n-train", "20",
+        "--corpus-n-test", "5", "--rounds", "2", "--seed", "2", "--corpus-seed", "2",
     ],
 }
 
 GOLDEN = {
     "tabular-shifted": {
-        "checkpoints": "69101ee80a59d6a2c56887f05f5cedb36ccad0fae50c73bb21e7658505762cc7",
-        "datasets": "281ecf2caf2e86dfc5fb7ea87d2d8d08b54314a0f7a46e467b67a81dfdf0c87d",
-        "metrics.csv": "4534a12ecb78db0ae30c611e178dc388d5af24d0b969110de552426f4a66269d",
-        "summary.json": "cb39590fa252b07d945f9841ddbcfcf74f044425c482841dc2589505e8324a2c",
+        "checkpoints": "9faa1eb703e34095f7eba601c219ab06489270bacf4b0076f594962ced4fb403",
+        "datasets": "225dd20ed721f55e251556caf50ea68aef482e2cbe9b7c346f519f9a06cafd5f",
+        "metrics.csv": "11b4239ed44290c96cbfc51c729e09f86f14fa14a972bc56d9f4cf3daf511098",
+        "summary.json": "013a8ace7d3afa6f03b5025888c0fb8ff986dfd47a4a4d049be8046a0888eb95",
+        "tasks.jsonl": "76fe57e956d77524faf2d6a6bd3ee4d53873454cfd2f583ab4bb5285a5307a45",
+        "labels.jsonl": "75edc03a2f576d03cf51a4425f8b2fa0255049d416898e62bef65f050bc6c832",
     },
     "softmax": {
-        "checkpoints": "4a2df375b306a6e9f2924bd56f40304a2e1b2ea0063e6ca44f8a513977c20491",
-        "datasets": "3cba17b8383b8b9959026349bdeb269df79571a8851b697e72a80d6e2ad9268a",
-        "metrics.csv": "fe2596bf87d0fd3f8b04bfdab716f0fc7347c20b729ce61f09fa48e638fece59",
-        "summary.json": "4cc6587a2660dd7a4d1f249525ddd7f2b0bead6855e8c29f39dd4f0f98c7bf22",
+        "checkpoints": "a7a727424db5b58fa129cd0a89047bd590ad9dcca70e4008be8fd7367ea746da",
+        "datasets": "cafa57abbfcddab1bc3faa484e846ebf51ac18f611657a45a818892140fca5f8",
+        "metrics.csv": "9d347d27928a2cb5572178e46e0edb926662cf5812578fad1f18e8c83cf701f6",
+        "summary.json": "d46b24996d237ea4de33f2b06be7f841a667331f03bea04d236eae13217ceff9",
+        "tasks.jsonl": "0dbd2079afb3177da7da674de0b9406cba0d01647e7197a4196a72e7509b9176",
+        "labels.jsonl": "377eb0d8d375021875b197e5bf0626c27b8aa5fd682a11b139c28185fa1635f1",
     },
 }
+
+# Tied training votes of each run: one ("tie", round, prompt) substream each.
+TIED_VOTES = {"tabular-shifted": 1, "softmax": 4}
 
 
 def tree_digest(path: Path) -> str:
@@ -58,13 +68,17 @@ def tree_digest(path: Path) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_run_artifacts_match_golden_digests(name, tmp_path, capsys):
+def test_run_artifacts_match_golden_digests(name, tmp_path, capsys, monkeypatch):
+    ties = []
+    real = engine.substream
+    monkeypatch.setattr(engine, "substream", lambda *args: ties.append(args) or real(*args))
     out = tmp_path / "run"
     assert main(["run", *RUNS[name], "--out-dir", str(out)]) == 0
     got = {part: tree_digest(out / part) for part in ("checkpoints", "datasets")}
-    for file in ("metrics.csv", "summary.json"):
+    for file in ("metrics.csv", "summary.json", "tasks.jsonl", "labels.jsonl"):
         got[file] = hashlib.sha256((out / file).read_bytes()).hexdigest()
     assert got == GOLDEN[name]
+    assert len(ties) == TIED_VOTES[name] and all(args[1] == "tie" for args in ties)
 
 
 VERIFY_RUNS = {

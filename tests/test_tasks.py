@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
-from collections import Counter
+import time
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from voteloop import tasks as tasks_module
 from voteloop.answers import equivalent
 from voteloop.rewards import majority_vote
 from voteloop.tasks import (
@@ -19,6 +22,7 @@ from voteloop.tasks import (
     render_rational,
     save_corpus,
 )
+from voteloop.util import substream
 
 
 def small_spec(**kwargs):
@@ -199,6 +203,189 @@ class TestCorpusLocality:
         assert wide.splits["train"][999] == "train-0999"
         for x, y in zip(narrow.splits["train"], wide.splits["train"]):
             assert_same_task(narrow.tasks[x], dataclasses.replace(wide.tasks[y], prompt=x))
+
+
+FORMS = ("plain", "frac", "decimal")
+
+
+def _draw_value(rng, taken):
+    while True:
+        num = int(rng.integers(-50, 200))
+        den = int(rng.integers(1, 13))
+        value = Fraction(num, den)
+        if value not in taken:
+            taken.add(value)
+            return value
+
+
+def _two_forms(value, rng):
+    forms = list(rng.permutation(FORMS))
+    first = render_rational(value, forms[0])
+    for other in forms[1:]:
+        alt = render_rational(value, other)
+        if alt != first:
+            return first, alt
+    return first, first
+
+
+def _make_task(prompt, spec, rng):
+    lo, hi = spec.p_range
+    for _ in range(10_000):
+        p = float(rng.uniform(lo, hi))
+        n_distract = int(rng.integers(1, spec.max_distractors + 1))
+        rel = rng.dirichlet(np.ones(n_distract))
+        masses = (1.0 - p) * rel
+        if abs(p - float(masses.max())) >= spec.margin:
+            break
+    else:
+        raise RuntimeError("could not draw a class layout satisfying the margin")
+
+    taken = set()
+    truth_value = _draw_value(rng, taken)
+    truth_chain_text, truth_label = _two_forms(truth_value, rng)
+    answers, probs = [], []
+    if spec.surface_forms == 1:
+        answers.append(truth_chain_text)
+        probs.append(p)
+    else:
+        texts = sorted({render_rational(truth_value, f) for f in FORMS})[: spec.surface_forms]
+        for text in texts:
+            answers.append(text)
+            probs.append(p / len(texts))
+    for mass in masses:
+        value = _draw_value(rng, taken)
+        answers.append(render_rational(value, FORMS[int(rng.integers(len(FORMS)))]))
+        probs.append(float(mass))
+
+    order = rng.permutation(len(answers))
+    chains = tuple(f"c{i}" for i in range(len(answers)))
+    return tasks_module.SyntheticTask(
+        prompt=prompt,
+        chains=chains,
+        answers={chains[j]: answers[i] for j, i in enumerate(order)},
+        probs=np.array([probs[i] for i in order], dtype=float),
+        truth=truth_label,
+        correct_mass=p,
+        distractor_masses=tuple(float(m) for m in masses),
+    )
+
+
+def reference_tasks(spec):
+    """The tasks make_corpus drew before its counter-based draw, one
+    `substream(seed, "task", split, index)` Generator per task."""
+    return [
+        _make_task(f"{split}-{i}", spec, substream(spec.seed, "task", split, i))
+        for split, count in (("train", spec.n_train), ("test", spec.n_test))
+        for i in range(count)
+    ]
+
+
+def value_of(text):
+    if text.startswith("\\frac{"):
+        num, den = text[6:-1].split("}{")
+        return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
+def form_of(text):
+    if text.startswith("\\frac{"):
+        return "frac"
+    if "." in text:
+        return "decimal"
+    return "plain" if "/" in text else "integer"
+
+
+def corpus_statistics(tasks):
+    """Per-task and per-chain draws of a task list, by name."""
+    out = defaultdict(list)
+    for task in tasks:
+        truth = value_of(task.truth)
+        out["p"].append(task.correct_mass)
+        out["distractors"].append(len(task.distractor_masses))
+        out["gap"].append(task.correct_mass - max(task.distractor_masses))
+        out["majority_is_correct"].append(task.majority_is_correct)
+        out["label_form"].append(form_of(task.truth))
+        for text in task.answers.values():
+            kind = "truth" if value_of(text) == truth else "distractor"
+            out[f"{kind}_form"].append(form_of(text))
+            out[f"{kind}_num"].append(value_of(text).numerator)
+            out[f"{kind}_den"].append(value_of(text).denominator)
+    return out
+
+
+def chi_square_p(a, b):
+    counts = Counter(a), Counter(b)
+    cats = sorted(set(counts[0]) | set(counts[1]), key=str)
+    return stats.chi2_contingency([[c[x] for x in cats] for c in counts]).pvalue
+
+
+# A deterministic gate (fixed seeds): no test may reject at this level.
+P_FLOOR = 1e-3
+TIGHT = dict(p_range=(0.45, 0.55), margin=0.25, max_distractors=4)
+
+
+class TestDrawMatchesReferenceSampler:
+    """The counter-based corpus draw against the per-task Generator it
+    replaced, over 8 corpus seeds of 500 tasks each. TIGHT settles about
+    38% of rows in the first draw block, so later blocks are covered."""
+
+    @pytest.fixture(scope="class", params=[{}, TIGHT], ids=["default", "tight"])
+    def draws(self, request):
+        ref, new, ceilings = [], [], ([], [])
+        for seed in range(8):
+            spec = CorpusSpec(seed=seed, **request.param)
+            corpus, ref_tasks = make_corpus(spec), reference_tasks(spec)
+            ref.extend(ref_tasks)
+            new.extend(corpus.tasks.values())
+            for part in (ref_tasks[: spec.n_train], ref_tasks[spec.n_train :]):
+                ceilings[0].append(sum(t.majority_is_correct for t in part) / len(part))
+            ceilings[1].extend(corpus.ceiling(split) for split in ("train", "test"))
+        return corpus_statistics(ref), corpus_statistics(new), ceilings
+
+    @pytest.mark.parametrize("name", ["p", "gap", "truth_num", "distractor_num"])
+    def test_two_sample_ks(self, draws, name):
+        ref, new, _ = draws
+        assert stats.ks_2samp(ref[name], new[name]).pvalue > P_FLOOR
+
+    @pytest.mark.parametrize(
+        "name",
+        ["distractors", "truth_den", "distractor_den", "truth_form", "label_form",
+         "distractor_form", "majority_is_correct"],
+    )
+    def test_chi_square(self, draws, name):
+        ref, new, _ = draws
+        assert chi_square_p(ref[name], new[name]) > P_FLOOR
+
+    def test_split_ceilings(self, draws):
+        # The wrong-majority fraction is 1 - ceiling, so this covers it too.
+        ref, new = draws[2]
+        assert stats.ks_2samp(ref, new).pvalue > P_FLOOR
+
+
+class TestDrawBlocks:
+    def test_unsatisfiable_layout_raises_after_the_attempt_cap(self, monkeypatch):
+        calls = []
+        real = tasks_module._draw_block
+        monkeypatch.setattr(
+            tasks_module, "_draw_block", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="could not draw a class layout"):
+            make_corpus(CorpusSpec(n_train=3, n_test=1, p_range=(0.35, 0.35), margin=0.49))
+        assert time.perf_counter() - start < 10.0
+        assert calls == list(range(10_000 // tasks_module._ATTEMPTS))
+
+    @pytest.mark.parametrize(
+        "spec", [{}, TIGHT, dict(max_distractors=9, surface_forms=2), dict(max_distractors=60)]
+    )
+    def test_task_values_are_distinct_and_layouts_meet_the_margin(self, spec):
+        corpus = make_corpus(small_spec(n_train=200, **spec))
+        for task in corpus.tasks.values():
+            values = {value_of(a) for a in task.answers.values()}
+            assert len(values) == 1 + len(task.distractor_masses)
+            assert value_of(task.truth) in values
+            assert abs(task.correct_mass - max(task.distractor_masses)) >= corpus.spec.margin
+            assert task.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVoteDivergence:
