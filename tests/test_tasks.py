@@ -326,8 +326,8 @@ TIGHT = dict(p_range=(0.45, 0.55), margin=0.25, max_distractors=4)
 
 class TestDrawMatchesReferenceSampler:
     """The counter-based corpus draw against the per-task Generator it
-    replaced, over 8 corpus seeds of 500 tasks each. TIGHT settles about
-    38% of rows in the first draw block, so later blocks are covered."""
+    replaced, over 8 corpus seeds of 500 tasks each. TIGHT leaves about
+    38% of rows to later draw blocks, so those blocks are covered."""
 
     @pytest.fixture(scope="class", params=[{}, TIGHT], ids=["default", "tight"])
     def draws(self, request):
