@@ -111,11 +111,12 @@ _PERMUTATIONS = tuple(permutations(_FORMS))
 
 
 def _draw_block(spec: CorpusSpec, digests: np.ndarray, block: int):
-    """One draw block for the prompts with these `digest64`s: the rows it
-    settles (a layout attempt meets the margin, enough values are distinct)
-    and, per row, that attempt's p, distractor count and Dirichlet(1, ...,
-    1) masses, the distinct reduced (num, den) values in draw order (truth
-    first), the truth's form permutation, distractor forms and order keys."""
+    """One draw block for the tasks with these (split, index) `digest64`s:
+    the rows it settles (a layout attempt meets the margin, enough values
+    are distinct) and, per row, that attempt's p, distractor count and
+    Dirichlet(1, ..., 1) masses, the distinct reduced (num, den) values in
+    draw order (truth first), the truth's form permutation, distractor
+    forms and order keys."""
     m, a = spec.max_distractors, _ATTEMPTS
     sizes = (a, a, a * m, m + 3, m + 3, 1, m, m + 3)
     u = counter_random(spec.seed, [("task", block) if block else ("task",)], digests, sum(sizes))
