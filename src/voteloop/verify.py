@@ -460,7 +460,9 @@ def verify_answers(count: int = 10_000, fuzz: int = 100_000, seed: int = 0) -> S
     `count` draws, in this order: numerators in [-10**6, 10**6), powers of 2
     and of 5 in [0, 7) for the denominator, and scales in [1, 10) for the
     \\frac form. The fuzz strings come from the "answers-fuzz" substream in
-    blocks of 1024 (see `_fuzz_strings`).
+    blocks of 1024 (see `_fuzz_strings`). A fuzz string crashes when a call
+    raises, its parse keeps neither its trimmed text nor a value, or it is
+    not `equivalent` to itself.
     """
     result = SuiteResult("answers")
 
@@ -523,7 +525,8 @@ def verify_answers(count: int = 10_000, fuzz: int = 100_000, seed: int = 0) -> S
             expr = parse_answer(s)
             assert expr.text == s.strip() or expr.is_numeric
             equivalent(s, previous)
-            equivalent(s, s)
+            if equivalent(s, s) is not True:
+                crashes += 1
         except Exception:
             crashes += 1
         previous = s
