@@ -1,11 +1,12 @@
-"""Golden artifacts: pinned sha256 digests of two small runs and of the
+"""Golden artifacts: pinned sha256 digests of three small runs and of the
 five `verify` suites' `--out` reports.
 
 The digests cover every byte of `checkpoints/` and `datasets/` and the
 corpus files `tasks.jsonl` and `labels.jsonl`, so they pin the whole
 random-stream contract: the counter-based corpus draw and sampling streams,
 vote tie-breaks (the tabular run has 1 tied training vote of 150, the
-softmax run 4 of 50; `TIED_VOTES` checks that both still tie), reward
+tabular-ties run 10 of 240, the softmax run 4 of 50; `TIED_VOTES` checks
+that each still ties), reward
 weights and both update backends. `metrics.csv` and `summary.json` pin the
 evaluation: the maj@1/maj@k votes, mean entropies, realized objectives and
 the best round. A change that moves any of them must say so and re-record
@@ -29,6 +30,11 @@ RUNS = {
         "--corpus-surface-forms", "3", "--corpus-n-train", "40", "--corpus-n-test", "10",
         "--rounds", "3", "--patience", "3", "--seed", "5", "--corpus-seed", "5",
     ],
+    "tabular-ties": [
+        "--transform", "baseline_shifted", "--beta", "0.5",
+        "--corpus-surface-forms", "3", "--corpus-n-train", "80", "--corpus-n-test", "15",
+        "--rounds", "3", "--patience", "3", "--seed", "2", "--corpus-seed", "2",
+    ],
     "softmax": [
         "--backend", "softmax", "--corpus-surface-forms", "3", "--corpus-n-train", "20",
         "--corpus-n-test", "5", "--rounds", "2", "--seed", "2", "--corpus-seed", "2",
@@ -44,6 +50,14 @@ GOLDEN = {
         "tasks.jsonl": "76fe57e956d77524faf2d6a6bd3ee4d53873454cfd2f583ab4bb5285a5307a45",
         "labels.jsonl": "75edc03a2f576d03cf51a4425f8b2fa0255049d416898e62bef65f050bc6c832",
     },
+    "tabular-ties": {
+        "checkpoints": "9d3892215451a01b662892bad2869f46eae8d4e8aefcd5ab7cb45b367a16f312",
+        "datasets": "ce6a8cd0bd2fcf5a0057e6d5c673cf7507f18373f1047eba0e040d8639432dbd",
+        "metrics.csv": "296337c510496eea5a8d6b5796cc45650ef802a271c25b504eb82b43d69d5591",
+        "summary.json": "00396bbb9a3181bc37f5efada606f5c8ab70a3a8234dbcf4abb8ae579d163c64",
+        "tasks.jsonl": "5ae03f1ef1ab73b99dd79d8a0606126b421e73d744c96e27b74d7c5305c0b1bb",
+        "labels.jsonl": "3ff4db9679c4463b407bf343a5b9350ee3274e30c41a87f0e8e27f982c3e0123",
+    },
     "softmax": {
         "checkpoints": "a7a727424db5b58fa129cd0a89047bd590ad9dcca70e4008be8fd7367ea746da",
         "datasets": "cafa57abbfcddab1bc3faa484e846ebf51ac18f611657a45a818892140fca5f8",
@@ -55,7 +69,7 @@ GOLDEN = {
 }
 
 # Tied training votes of each run: one ("tie", round, prompt) substream each.
-TIED_VOTES = {"tabular-shifted": 1, "softmax": 4}
+TIED_VOTES = {"tabular-shifted": 1, "tabular-ties": 10, "softmax": 4}
 
 
 def tree_digest(path: Path) -> str:
