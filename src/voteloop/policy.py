@@ -185,9 +185,13 @@ class PromptSpace:
 
     def _flat_classes(self) -> np.ndarray:
         """Answer-class id of every chain, flat in the chain offsets: each
-        row numbers its answers' `answer_key`s by first appearance."""
+        row numbers its answers' `answer_key`s by first appearance. Each
+        distinct answer string is keyed once, so building the classes does
+        not lean on the bounded parse cache for repeats."""
         if self._flat is None:
-            keys = [answer_key(answer) for _, answer in self._pairs]
+            answers = [answer for _, answer in self._pairs]
+            key_of = {answer: answer_key(answer) for answer in dict.fromkeys(answers)}
+            keys = [key_of[answer] for answer in answers]
             ids: list[int] = []
             spans = list(zip(self._bounds, self._bounds[1:]))
             for start, end in spans:

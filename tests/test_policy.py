@@ -260,8 +260,8 @@ class TestAnswerClasses:
         assert space.class_of("p", "7") == -1
 
     def test_computed_once_on_first_use(self, monkeypatch):
-        # One answer_key per chain of the whole space on first use, then one
-        # per class_of lookup.
+        # One answer_key per distinct answer string of the whole space on
+        # first use, then one per class_of lookup.
         calls = []
         real = policy_module.answer_key
         monkeypatch.setattr(policy_module, "answer_key", lambda a: calls.append(a) or real(a))
@@ -270,7 +270,7 @@ class TestAnswerClasses:
         first = space.answer_classes("p0")
         assert space.answer_classes("p0") is first
         space.class_of("p0", "b")
-        assert calls == ["a", "b", "a", "4", "5", "b"]
+        assert calls == ["a", "b", "4", "5", "b"]
 
     def test_unknown_prompt(self):
         with pytest.raises(KeyError):
@@ -524,3 +524,19 @@ class TestCheckpoint:
         path = self._write_checkpoint(tmp_path, "# kind tabular\np0\tc0\t0x1p-1\n")
         with pytest.raises(ValueError, match="ckpt.policy: records do not cover prompt 'p0'"):
             load_policy(path, small_space())
+
+
+def test_flat_classes_key_each_distinct_answer_once(monkeypatch):
+    answers = {
+        "p0": {"c0": "0.5", "c1": "x", "c2": "1/2", "c3": "0.5"},
+        "p1": {"c0": "x", "c1": "0.5", "c2": " x"},
+        "p2": {"c0": "\\frac{1}{2}", "c1": "1/2"},
+    }
+    space = PromptSpace({x: tuple(amap) for x, amap in answers.items()}, answers)
+    keyed = []
+    real = policy_module.answer_key
+    monkeypatch.setattr(policy_module, "answer_key", lambda a: keyed.append(a) or real(a))
+    flat = space._flat_classes()
+    assert sorted(keyed) == sorted({a for amap in answers.values() for a in amap.values()})
+    # Each row still numbers its answers' keys by first appearance.
+    assert flat.tolist() == [0, 1, 0, 0, 0, 1, 0, 0, 0]
