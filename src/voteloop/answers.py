@@ -389,7 +389,11 @@ def _parse_fresh(raw: str, step_budget: int) -> CanonicalExpr:
 
 
 # Parses under the default budget, shared by parse_answer and equivalent.
-_parse_default = lru_cache(maxsize=65_536)(partial(_parse_fresh, step_budget=DEFAULT_STEP_BUDGET))
+# The synthetic corpus renders at most 4,161 distinct answer strings (1,868
+# reduced values with num in [-50, 200) and den in [1, 12], in 3 forms), so
+# 8,192 entries hold a run's answers about twice over, and a stream of mostly
+# unseen strings, such as verify's fuzz strings, holds no more than that.
+_parse_default = lru_cache(maxsize=8_192)(partial(_parse_fresh, step_budget=DEFAULT_STEP_BUDGET))
 
 
 def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
@@ -401,7 +405,10 @@ def parse_answer(raw: str, step_budget: int | None = None) -> CanonicalExpr:
     parse needs (about 400 frames), so a RecursionError is never read as a
     result. Parses under the default budget are cached, and `answer_key`
     and `equivalent` read the same cache, so a string parsed here is not
-    parsed again there.
+    parsed again there while it stays among the 8,192 most recently used.
+    That bound is about twice the 4,161 distinct answer strings the
+    synthetic corpus can render, so a run's answers stay cached while
+    fuzzing with mostly unseen strings keeps the cache small.
     """
     if not isinstance(raw, str):
         raw = str(raw)

@@ -3,9 +3,12 @@
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache, partial
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voteloop import answers
+from voteloop import answers, cli
 from voteloop.answers import (
     CanonicalExpr,
     ExtractedAnswer,
@@ -23,7 +26,8 @@ from voteloop.answers import (
     extract_boxed,
     parse_answer,
 )
-from voteloop.verify import _FUZZ_POOL
+from voteloop.tasks import CorpusSpec, make_corpus, save_corpus
+from voteloop.verify import _FUZZ_POOL, verify_answers
 
 
 class TestExtractBoxed:
@@ -444,3 +448,60 @@ def test_nesting_cap_decides_deep_parses_at_any_stack_depth(shape, depth):
         answers._parse_default.cache_clear()
         got = _at_stack_depth(frames, lambda: (parse_answer(raw).is_numeric, equivalent(raw, "1")))
         assert got == (want, want), frames
+
+
+def _with_parse_cache(maxsize, fn):
+    """fn() with the default-budget parse cache rebuilt at `maxsize`; the
+    shipped cache is restored, and emptied, after."""
+    cache = lru_cache(maxsize=maxsize)(partial(answers._parse_fresh, step_budget=answers.DEFAULT_STEP_BUDGET))
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(answers, "_parse_default", cache)
+            return fn()
+    finally:
+        answers._parse_default.cache_clear()
+
+
+def _run_files(out):
+    """Every file of a small `tabular-shifted`-shaped run, by relative path."""
+    shutil.rmtree(out, ignore_errors=True)
+    args = [
+        "run", "--transform", "baseline_shifted", "--beta", "0.5", "--corpus-surface-forms", "3",
+        "--corpus-n-train", "60", "--corpus-n-test", "15", "--rounds", "4", "--patience", "4",
+        "--seed", "3", "--out-dir", str(out),
+    ]
+    assert cli.main(args) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestParseCacheBound:
+    def test_cache_size_only_speeds_up(self, tmp_path, capsys):
+        def outcomes():
+            return verify_answers(count=500, fuzz=20_000), _run_files(tmp_path / "run")
+
+        answers._parse_default.cache_clear()
+        shipped = outcomes()
+        assert shipped[0].passed
+        for maxsize in (1, None):
+            assert _with_parse_cache(maxsize, outcomes) == shipped, maxsize
+
+    def test_the_corpus_answers_fit_in_half_the_cache(self, tmp_path):
+        corpus = make_corpus(CorpusSpec(n_train=5000, n_test=1000, surface_forms=3))
+        save_corpus(corpus, tmp_path / "tasks.jsonl", tmp_path / "labels.jsonl")
+        strings = set()
+        for line in (tmp_path / "tasks.jsonl").read_text().splitlines():
+            strings.update(json.loads(line)["answers"].values())
+        for line in (tmp_path / "labels.jsonl").read_text().splitlines():
+            strings.add(json.loads(line)["truth"])
+        assert len(strings) <= answers._parse_default.cache_info().maxsize // 2
+
+    def test_fuzzing_keeps_memory_small(self):
+        answers._parse_default.cache_clear()
+        tracemalloc.start()
+        try:
+            assert verify_answers(count=1000, fuzz=30_000).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            answers._parse_default.cache_clear()
+        assert peak < 4 * 2**20, peak
