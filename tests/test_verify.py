@@ -4,6 +4,10 @@ oracle, the fuzz string draws, and suites run on broken code."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,27 @@ def test_factor_only_sign_dropping_fails_the_builtin_pairs(monkeypatch):
     # "-0.5" (literal) disagree.
     suite = _answers_suite_with(monkeypatch, drop_literal_sign=False)
     assert not suite.instances[0].passed and not suite.passed
+
+
+def test_fuzz_counts_a_string_not_equivalent_to_itself(monkeypatch):
+    monkeypatch.setattr(verify, "equivalent", lambda a, b: equivalent(a, b) and len(a) < 30)
+    strings = list(_fuzz_strings(substream(0, "answers-fuzz"), 2000))
+    suite = verify_answers(count=0, fuzz=2000)
+    assert suite.instances[3].detail["crashes"] == sum(len(s) >= 30 for s in strings) > 0
+
+
+# A parse that keeps the untrimmed text of an opaque string, under -O.
+_UNTRIMMED_PARSE_PROBE = """
+from voteloop import answers, verify
+verify.parse_answer = lambda raw: answers.CanonicalExpr(None, raw)
+print(verify.verify_answers(count=0, fuzz=2000).instances[3].detail["crashes"])
+"""
+
+
+def test_fuzz_checks_the_parse_text_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNTRIMMED_PARSE_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    strings = list(_fuzz_strings(substream(0, "answers-fuzz"), 2000))
+    assert int(out) == sum(s != s.strip() for s in strings) > 0
