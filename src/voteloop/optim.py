@@ -297,13 +297,19 @@ def _objective_rows(
     z: np.ndarray, cnt: np.ndarray, temperature: float | np.ndarray
 ) -> np.ndarray:
     """Per row, sum of cnt * log softmax(z); -inf when a counted chain has
-    zero probability. Uncounted chains and padding add exact-zero terms to
-    the per-row dot that np.matmul runs on a stack of vector pairs; BLAS
-    (OpenBLAS ddot) adds the terms of a dot under 16 long in order, so the
-    zeros leave a row's bits unchanged."""
+    zero probability. Uncounted chains add exact-zero terms to the per-row
+    dot that np.matmul runs on a stack of vector pairs. BLAS (OpenBLAS ddot)
+    groups a dot's terms by the vector length, so zero padding can change a
+    row's bits (a 30-chain row padded to 32 does): each row's dot runs over
+    its own chains, up to its last finite logit, one matmul per length."""
     with np.errstate(divide="ignore"):
         logp = np.where(cnt > 0, np.log(_softmax_rows(z, temperature)), 0.0)
-    return np.matmul(cnt[:, None, :], logp[:, :, None])[:, 0, 0]
+    width = z.shape[1] - np.argmax(np.isfinite(z[:, ::-1]), axis=1)
+    out = np.empty(len(z))
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        rows = width == w
+        out[rows] = np.matmul(cnt[rows, None, :w], logp[rows, :w, None])[:, 0, 0]
+    return out
 
 
 def _gradient_rows(

@@ -230,6 +230,17 @@ class TestObjective:
         assert weighted_mle_objective(policy, [], []) == 0.0
         assert objective_gradient(policy, [], []) == {}
 
+    def test_padding_leaves_each_row_objective_bits(self):
+        # A row's objective has the bits of the row alone, however far the
+        # rows of its batch pad it (BLAS groups a dot's terms by length).
+        rng = np.random.default_rng(31)
+        for width in range(1, 41):
+            z, cnt = rng.normal(0, 2, width), rng.integers(0, 4, width) * rng.random(width)
+            alone = _objective_rows(*_pad_rows([z], [cnt]), 0.7)
+            for wider in (width + 1, width + 3, 48):
+                batch = _objective_rows(*_pad_rows([z, np.zeros(wider)], [cnt, np.ones(wider)]), 0.7)
+                assert batch[0].tobytes() == alone[0].tobytes(), (width, wider)
+
     def test_public_functions_are_the_solver_rows(self):
         rng = np.random.default_rng(29)
         space = make_space(rng, max_prompts=6)
@@ -399,9 +410,9 @@ class TestSolveGradient:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_batch_equals_each_prompt_solved_alone(self, data):
-        # Prompts of 2-12 chains with zero-weight chains and all-zero
+        # Prompts of 2-40 chains with zero-weight chains and all-zero
         # prompts; max_iters=200 also exercises the iteration-budget exit.
-        widths = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=6))
+        widths = data.draw(st.lists(st.integers(2, 40), min_size=1, max_size=6))
         temperature = data.draw(st.sampled_from([1.0, 0.6, 2.5]))
         logit = st.floats(-4.0, 4.0)
         log_weight = st.one_of(st.just(-math.inf), st.floats(-3.0, 1.5))
