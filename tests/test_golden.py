@@ -6,11 +6,10 @@ corpus files `tasks.jsonl` and `labels.jsonl`, so they pin the whole
 random-stream contract: the counter-based corpus draw and sampling streams,
 vote tie-breaks (the tabular run has 1 tied training vote of 150, the
 tabular-ties run 10 of 240, the softmax run 4 of 50; `TIED_VOTES` checks
-that each still ties), reward
-weights and both update backends. `metrics.csv` and `summary.json` pin the
-evaluation: the maj@1/maj@k votes, mean entropies, realized objectives and
-the best round. A change that moves any of them must say so and re-record
-the digests below. The verify reports (seed 0) pin each suite's instances
+that each still ties), reward weights and both update backends.
+`metrics.csv` and `summary.json` pin the evaluation: the maj@1/maj@k votes,
+mean entropies, realized objectives and the best round. A change that moves
+any of them must say so and re-record the digests below. The verify reports (seed 0) pin each suite's instances
 and their detail, byte for byte; two more reports (150 instances, seed
 1000) cross the blocks of 64 instances that the closedform and gradients
 suites run at a time.
