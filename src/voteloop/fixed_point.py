@@ -235,8 +235,7 @@ def check_fixed_point_equivalence(
 
     # Total variation of every prompt: half the row sum of |difference|.
     gap = np.abs(solution.policy._probs - policy._probs)
-    space = pi0.space
-    per_prompt = 0.5 * row_sums(gap, space._offsets, groups=space._length_groups())
+    per_prompt = 0.5 * row_sums(gap, pi0.space._offsets)
     return EquivalenceReport(
         distance=float(per_prompt.max()),
         labels_match=np.array_equal(trace.labels[-1], labels),

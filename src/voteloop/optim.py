@@ -102,11 +102,11 @@ def _as_log(weights: np.ndarray, log: bool) -> np.ndarray:
 
 
 def _tilt_rows(
-    prev: np.ndarray, log_w: np.ndarray, offsets: np.ndarray, groups=None
+    prev: np.ndarray, log_w: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """normalize(exp(log_w) * prev) on every row of flat arrays laid out by
-    `offsets`, in log space with a max shift, then `normalize_rows` (with
-    the rows' `length_groups`, when given), so every row's bits equal a
+    `offsets`, in log space with a max shift, then `normalize_rows`, whose
+    row sums add each row left to right, so every row's bits equal a
     one-row call.
 
     Returns (new, degenerate). A degenerate row has no entry with both
@@ -116,7 +116,7 @@ def _tilt_rows(
     with np.errstate(divide="ignore", invalid="ignore"):
         combined = log_w + np.where(prev > 0, np.log(prev), -np.inf)
         shift = np.maximum.reduceat(combined, offsets[:-1])
-        out = normalize_rows(np.exp(combined - np.repeat(shift, lens)), offsets, groups=groups)
+        out = normalize_rows(np.exp(combined - np.repeat(shift, lens)), offsets)
     degenerate = shift == -np.inf
     dead = np.repeat(degenerate, lens)
     out[dead] = prev[dead]
@@ -148,7 +148,7 @@ def _tilt_policy(
     keep prev. Log-weights `_flat_log_weights` rejects raise ValueError."""
     offsets = prev.space._offsets
     lw = _flat_log_weights(prev, log_w)
-    new, degenerate = _tilt_rows(prev._probs, lw, offsets, prev.space._length_groups())
+    new, degenerate = _tilt_rows(prev._probs, lw, offsets)
     if rows is not None:
         keep = np.repeat(~rows, np.diff(offsets))
         new[keep] = prev._probs[keep]
@@ -242,13 +242,15 @@ def _prompt_rows(
 
 def weighted_mle_objective(policy: SoftmaxPolicy, chains, log_weights) -> float:
     """sum of weight * log pi(chain|prompt) over the samples (flat chain
-    indices and their log-weights): the solver's objective rows, added in
-    prompt order. Zero weights add exactly 0; a positive weight on a
+    indices and their log-weights): the solver's objective rows, added
+    left to right in prompt order (builtin `sum` compensates from Python
+    3.12). Zero weights add exactly 0; a positive weight on a
     zero-probability chain gives -inf (reported, never raised)."""
     _, logits, counts = _prompt_rows(policy, chains, log_weights)
     if not logits:
         return 0.0
-    return float(sum(_objective_rows(*_pad_rows(logits, counts), policy.temperature).tolist()))
+    rows = _objective_rows(*_pad_rows(logits, counts), policy.temperature)
+    return float(np.cumsum(np.append(0.0, rows))[-1])
 
 
 def objective_gradient(policy: SoftmaxPolicy, chains, log_weights) -> dict[str, np.ndarray]:
@@ -296,20 +298,12 @@ def _softmax_rows(z: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
 def _objective_rows(
     z: np.ndarray, cnt: np.ndarray, temperature: float | np.ndarray
 ) -> np.ndarray:
-    """Per row, sum of cnt * log softmax(z); -inf when a counted chain has
-    zero probability. Uncounted chains add exact-zero terms to the per-row
-    dot that np.matmul runs on a stack of vector pairs. BLAS (OpenBLAS ddot)
-    groups a dot's terms by the vector length, so zero padding can change a
-    row's bits (a 30-chain row padded to 32 does): each row's dot runs over
-    its own chains, up to its last finite logit, one matmul per length."""
+    """Per row, sum of cnt * log softmax(z), added left to right
+    (`_row_sum`); -inf when a counted chain has zero probability.
+    Uncounted chains, padding among them, add exact zeros."""
     with np.errstate(divide="ignore"):
         logp = np.where(cnt > 0, np.log(_softmax_rows(z, temperature)), 0.0)
-    width = z.shape[1] - np.argmax(np.isfinite(z[:, ::-1]), axis=1)
-    out = np.empty(len(z))
-    for w in np.flatnonzero(np.bincount(width)).tolist():
-        rows = width == w
-        out[rows] = np.matmul(cnt[rows, None, :w], logp[rows, :w, None])[:, 0, 0]
-    return out
+    return _row_sum(cnt * logp)
 
 
 def _gradient_rows(
@@ -466,7 +460,7 @@ def solve_gradient(
             new[space._bounds[r] : space._bounds[r + 1]] = z
         solved = SoftmaxPolicy._trusted(space, new, policy.temperature)
     report = SolveReport(
-        objective_value=float(sum(r[4][-1] for r in results)),
+        objective_value=float(np.cumsum([0.0, *(r[4][-1] for r in results)])[-1]),
         grad_norm=max((r[1] for r in results), default=0.0),
         iterations=max((r[2] for r in results), default=0),
         converged=all(r[3] for r in results),

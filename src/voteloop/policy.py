@@ -13,9 +13,9 @@ of comparing answer strings.
 Every per-chain table is one flat float array laid out by the space's chain
 offsets: the chains of the prompt in row r sit at [offsets[r], offsets[r+1]).
 A policy stores its probabilities that way, and `distribution(prompt)` is a
-read-only slice. Row reductions over these arrays (`util.row_sums`) sum all
-rows of one length as one block, which adds each row in the order `np.sum`
-adds it alone, so batched results equal per-prompt ones bit for bit.
+read-only slice. Row reductions over these arrays (`util.row_sums`, the
+sampling CDFs) read one running sum that adds each row left to right, so
+batched results equal per-prompt ones bit for bit.
 
 Policies are immutable snapshots: every update constructs a new object, so
 concurrent reads are safe and sampling with per-prompt streams is
@@ -40,7 +40,7 @@ import numpy as np
 
 from .answers import answer_key
 from .rewards import vote_classes
-from .util import _atomic_write, digest64, length_groups, normalize_rows, row_sums
+from .util import _atomic_write, digest64, normalize_rows, row_cumsums, row_sums
 
 __all__ = [
     "PromptSpace",
@@ -109,8 +109,6 @@ class PromptSpace:
         # of any flat per-chain array.
         self._offsets = np.cumsum([0] + [len(c) for c in self._chains.values()])
         self._bounds = self._offsets.tolist()
-        # util.length_groups(_offsets), built on first use.
-        self._groups: tuple | None = None
         # (chain, answer) of every chain, flat.
         self._pairs = tuple(
             pair for x in self.prompts for pair in zip(self._chains[x], self._answers[x])
@@ -164,16 +162,6 @@ class PromptSpace:
         self._require(prompt)
         self._flat_classes()
         return self._class_keys[self._row[prompt]].get(answer_key(answer), -1)
-
-    def _length_groups(self) -> tuple:
-        """`util.length_groups` of the chain offsets, for unmasked
-        `row_sums` calls on flat per-chain arrays of this space."""
-        if self._groups is None:
-            self._groups = tuple(length_groups(self._offsets))
-            for group in self._groups:
-                for array in group:
-                    array.flags.writeable = False
-        return self._groups
 
     def _prompt_digests(self) -> np.ndarray:
         """`util.digest64` of every prompt id, in row order (read-only uint64):
@@ -344,20 +332,18 @@ class _PolicyBase:
 
     def _cdf_table(self) -> np.ndarray:
         if self._cdf is None:
-            probs, space = self._probs, self.space
-            groups = space._length_groups()
-            sum_ok = np.abs(row_sums(probs, space._offsets, groups=groups) - 1.0) <= CHOICE_SUM_TOL
-            table = np.full(len(probs), np.nan)
             # Generator.choice's check and arithmetic (p >= 0 and sum near 1;
-            # cdf = p.cumsum(); cdf /= cdf[-1]) for all rows of one length at once.
-            for rows, at in groups:
-                block = probs[at]
-                ok = sum_ok[rows] & ~(block < 0).any(axis=1)
-                cdf = block[ok].cumsum(axis=1)
-                cdf /= cdf[:, -1:]
-                table[at[ok]] = cdf
-            table.flags.writeable = False
-            self._cdf = table
+            # cdf = p.cumsum(); cdf /= cdf[-1]) on every row at once: a row's
+            # running sum is its cumsum, and the last entry its sum.
+            offsets, lens = self.space._offsets, np.diff(self.space._offsets)
+            cdf = row_cumsums(self._probs, offsets)
+            total = np.repeat(cdf[offsets[1:] - 1], lens)
+            bad = np.repeat(np.logical_or.reduceat(self._probs < 0, offsets[:-1]), lens)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cdf /= total
+            cdf[bad | ~(np.abs(total - 1.0) <= CHOICE_SUM_TOL)] = np.nan
+            cdf.flags.writeable = False
+            self._cdf = cdf
         return self._cdf
 
     def _entropy_table(self) -> np.ndarray:
@@ -405,11 +391,10 @@ class TabularPolicy(_PolicyBase):
             "probabilities must be finite and nonnegative",
         )
         space._reject(~np.logical_or.reduceat(raw > 0, starts), "probability vector has zero mass")
-        groups = space._length_groups()
         with np.errstate(over="ignore"):
-            sums = row_sums(raw, space._offsets, groups=groups)
+            sums = row_sums(raw, space._offsets)
         space._reject(np.isinf(sums), "probabilities must sum to a finite value")
-        self._set_table(space, normalize_rows(raw, space._offsets, TABULAR_SUM_TOL, groups))
+        self._set_table(space, normalize_rows(raw, space._offsets, TABULAR_SUM_TOL))
 
     @classmethod
     def _trusted(cls, space: PromptSpace, probs: np.ndarray) -> "TabularPolicy":
@@ -442,7 +427,7 @@ class SoftmaxPolicy(_PolicyBase):
             np.logical_or.reduceat(~np.isfinite(flat), space._offsets[:-1]), "logits must be finite"
         )
         self._set_logits(space, flat, temperature)
-        sums = row_sums(self._probs, space._offsets, groups=space._length_groups())
+        sums = row_sums(self._probs, space._offsets)
         space._reject(np.abs(sums - 1.0) > SOFTMAX_SUM_TOL, "softmax normalization failed")
 
     @classmethod
@@ -464,7 +449,7 @@ class SoftmaxPolicy(_PolicyBase):
         z = logits / self.temperature
         z = z - np.repeat(np.maximum.reduceat(z, offsets[:-1]), lens)
         p = np.exp(z)
-        p /= np.repeat(row_sums(p, offsets, groups=space._length_groups()), lens)
+        p /= np.repeat(row_sums(p, offsets), lens)
         logits.flags.writeable = False
         self._logits = logits
         self._set_table(space, p)

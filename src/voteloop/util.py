@@ -1,6 +1,11 @@
 """Shared plumbing: named random substreams, counter-based per-round
 draws, row sums and normalization over flat per-chain arrays, and atomic
-file replacement."""
+file replacement.
+
+Every row reduction adds the row left to right, first entry first
+(`row_cumsums`): an order that reads nothing but the row, so a batched
+result equals the same steps on each row alone, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -109,57 +114,39 @@ def counter_random(
 TINY_PROB = 1e-300
 
 
-def length_groups(offsets: np.ndarray):
-    """Rows of a flat array grouped by length: for every row length n, the
-    rows of that length and the [rows, n] flat indices of their entries.
-
-    Row r of the flat array is [offsets[r], offsets[r + 1]).
-    """
+def row_cumsums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Running sum of every row of a flat array (row r is [offsets[r],
+    offsets[r + 1])), each row added left to right from its first entry as
+    a 1-D `np.cumsum` adds it. `np.add.accumulate` runs along the rows of
+    one zero-padded [rows, widest] array; the padding sits right of every
+    entry, so no row's bits depend on another row."""
     lens = np.diff(offsets)
-    for n in sorted(set(lens.tolist())):
-        rows = np.flatnonzero(lens == n)
-        yield rows, offsets[rows][:, None] + np.arange(n)
+    mask = np.arange(lens.max(initial=0)) < lens[:, None]
+    padded = np.zeros(mask.shape)
+    padded[mask] = values
+    return np.add.accumulate(padded, axis=1)[mask]
 
 
-def row_sums(
-    values: np.ndarray,
-    offsets: np.ndarray,
-    mask: np.ndarray | None = None,
-    groups=None,
-) -> np.ndarray:
-    """Sum of every row of a flat array, bit for bit as `np.sum` adds the row.
-
-    Rows of one length are summed as one [rows, n] block along axis 1, which
-    adds each row in the order a 1-D `np.sum` does (`np.add.reduceat` adds
-    in another order). With a mask, row r sums only its entries where the
-    mask holds, as `np.sum(row[row_mask])` does; an empty row sums to 0.0.
-    An unmasked caller may pass `groups`, the `length_groups(offsets)` it
-    keeps (`PromptSpace._length_groups`), to skip regrouping the rows.
-    """
+def row_sums(values: np.ndarray, offsets: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Sum of every nonempty row of a flat array: the last entry of its
+    `row_cumsums`. `np.sum` adds rows of under 8 entries in this order too,
+    but goes pairwise from 8. With a mask, entries outside it count as 0.0."""
     if mask is not None:
-        values = values[mask]
-        offsets = np.concatenate(([0], np.cumsum(mask)))[offsets]
-        groups = None
-    out = np.zeros(len(offsets) - 1)
-    for rows, at in length_groups(offsets) if groups is None else groups:
-        out[rows] = values[at].sum(axis=1)
-    return out
+        values = np.where(mask, values, 0.0)
+    return row_cumsums(values, offsets)[offsets[1:] - 1]
 
 
-def normalize_rows(
-    raw: np.ndarray, offsets: np.ndarray, tol: float = 0.0, groups=None
-) -> np.ndarray:
+def normalize_rows(raw: np.ndarray, offsets: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Every row of a flat nonnegative array scaled to sum 1, with entries
     below TINY_PROB flushed to zero and their row scaled again.
 
-    Rows are divided by their `row_sums` (`groups` as there). With `tol`, a
-    row whose sum is within `tol` of 1 is divided by 1.0 instead, which
-    leaves its bits unchanged, so checkpoint round-trips and carried-over
-    distributions stay bit-exact. Each row's bits equal the same steps on
-    that row alone.
+    Rows are divided by their `row_sums`. With `tol`, a row whose sum is
+    within `tol` of 1 is divided by 1.0 instead, which leaves its bits
+    unchanged, so checkpoint round-trips and carried-over distributions
+    stay bit-exact. Each row's bits equal the same steps on that row alone.
     """
     lens = np.diff(offsets)
-    sums = row_sums(raw, offsets, groups=groups)
+    sums = row_sums(raw, offsets)
     if tol:
         sums[np.abs(sums - 1.0) <= tol] = 1.0
     out = raw / np.repeat(sums, lens)
@@ -167,5 +154,5 @@ def normalize_rows(
     if small.any():
         flush = np.repeat(np.logical_or.reduceat(small, offsets[:-1]), lens)
         out[small] = 0.0
-        out[flush] /= np.repeat(row_sums(out, offsets, groups=groups), lens)[flush]
+        out[flush] /= np.repeat(row_sums(out, offsets), lens)[flush]
     return out

@@ -6,7 +6,8 @@ laid out by the space's chain offsets. Each must equal the per-prompt
 computation it replaced: same distributions, degenerate prompts,
 objective, entropies, vote winners, probabilities and counts, to the last
 bit. The
-references below are the one-prompt-at-a-time code.
+references below are the one-prompt-at-a-time code, and each adds a row
+left to right (`ltr_sum`), the one summation order of the library.
 """
 
 import math
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from voteloop.engine import _update_tabular
 from voteloop.optim import (
     DegeneratePromptError,
+    _objective_rows,
+    _pad_rows,
     _prompt_rows,
     closed_form_update,
     objective_gradient,
@@ -35,7 +38,17 @@ from voteloop.policy import (
     save_policy,
 )
 from voteloop.rewards import vote_classes
-from voteloop.util import TINY_PROB, length_groups, row_sums, substream
+from voteloop.util import TINY_PROB, normalize_rows, row_sums, substream
+
+
+def ltr_sum(row) -> float:
+    """The entries of a row added one at a time, first entry first; 0.0
+    for an empty row. Not builtin `sum`, which Python 3.12 compensates."""
+    values = np.asarray(row, dtype=float).tolist()
+    total = values[0] if values else 0.0
+    for v in values[1:]:
+        total += v
+    return total
 
 
 def reference_tilt(prev: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -47,11 +60,11 @@ def reference_tilt(prev: np.ndarray, lw: np.ndarray) -> np.ndarray:
     if shift == -np.inf:
         raise ValueError("zero effective mass")
     out = np.exp(combined - shift)
-    out /= out.sum()
+    out /= ltr_sum(out)
     small = (out < TINY_PROB) & (out > 0)
     if small.any():
         out[small] = 0.0
-        out /= out.sum()
+        out /= ltr_sum(out)
     return out
 
 
@@ -59,12 +72,12 @@ def normalize_simplex(raw: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """One row scaled to sum 1 (left as it is within `tol` of 1), entries
     below TINY_PROB flushed: the per-prompt normalize of the validating
     constructor."""
-    total = raw.sum()
+    total = ltr_sum(raw)
     out = raw.copy() if abs(total - 1.0) <= tol else raw / total
     small = (out < TINY_PROB) & (out > 0)
     if small.any():
         out[small] = 0.0
-        out = out / out.sum()
+        out = out / ltr_sum(out)
     return out
 
 
@@ -84,7 +97,7 @@ def reference_update(policy: TabularPolicy, log_w: dict[str, np.ndarray]):
         w = np.exp(log_w[prompt])
         mask = (prev > 0) & (w > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            objective += float(np.sum(prev[mask] * w[mask] * np.log(new[mask])))
+            objective += ltr_sum(prev[mask] * w[mask] * np.log(new[mask]))
     return table, frozen, objective
 
 
@@ -95,7 +108,7 @@ def flat(policy: TabularPolicy, log_w: dict[str, np.ndarray]) -> np.ndarray:
 
 def reference_entropy(p: np.ndarray) -> float:
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return -ltr_sum(nz * np.log(nz))
 
 
 # Prior entries: exact zeros, tiny masses that tilt below TINY_PROB, and
@@ -109,7 +122,7 @@ LOG_WEIGHT = st.one_of(st.just(-math.inf), st.just(-700.0), st.floats(-30.0, 30.
 def tabular_updates(draw, prompts=st.integers(1, 6), prior=PRIOR, log_weight=LOG_WEIGHT):
     chains, answers, probs, log_w = {}, {}, {}, {}
     for i in range(draw(prompts)):
-        n = draw(st.integers(1, 20))
+        n = draw(st.integers(1, 40))
         prev = np.array(draw(st.lists(prior, min_size=n, max_size=n).filter(lambda v: sum(v) > 0)))
         lw = np.array(draw(st.lists(log_weight, min_size=n, max_size=n)))
         if draw(st.integers(0, 4)) == 0:  # degenerate: no weight on the support
@@ -262,13 +275,13 @@ def reference_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     z = logits / temperature
     z = z - z.max()
     p = np.exp(z)
-    p /= p.sum()
+    p /= ltr_sum(p)
     return p
 
 
 def softmax_inputs(data):
-    """A space of prompts with 1-20 chains and finite logits for each."""
-    widths = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    """A space of prompts with 1-40 chains and finite logits for each."""
+    widths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
     chains = {f"p{i}": tuple(f"c{j}" for j in range(n)) for i, n in enumerate(widths)}
     space = PromptSpace(chains, {x: {c: c for c in cs} for x, cs in chains.items()})
     logit = st.floats(-60.0, 60.0, allow_subnormal=False)
@@ -324,7 +337,7 @@ class TestGroupCounts:
     def test_equals_per_sample_loop(self, data):
         space, logits = softmax_inputs(data)
         log_weight = st.one_of(st.just(-math.inf), st.floats(-30.0, 5.0))
-        picks = st.tuples(st.sampled_from(space.prompts), st.integers(0, 19), log_weight)
+        picks = st.tuples(st.sampled_from(space.prompts), st.integers(0, 39), log_weight)
         samples = [
             (x, space.chains(x)[j % len(space.chains(x))], lw)
             for x, j, lw in data.draw(st.lists(picks, max_size=60))
@@ -362,23 +375,68 @@ class TestGroupCounts:
                     entry(np.array(chains), np.array(log_weights))
 
 
-class TestLengthGroups:
-    def test_cached_groups_give_the_same_row_sums(self):
-        rng = np.random.default_rng(5)
-        widths = rng.integers(1, 20, 40)
+# Entries of a row: exact zeros, the sub-TINY_PROB range and ordinary
+# masses, so flushes and rows of several magnitudes are drawn.
+ROW_ENTRY = st.one_of(st.just(0.0), st.floats(1e-310, 1e-299), st.floats(1e-6, 10.0))
+ROW = st.lists(ROW_ENTRY, min_size=1, max_size=40).filter(lambda r: max(r) > 1e-6)
+
+
+class TestRowsStandAlone:
+    """A row's sum, normalized row, CDF, entropy and softmax objective have
+    the bits of the row alone, whatever the lengths of the other rows."""
+
+    @staticmethod
+    def placed(data, row):
+        """`row` between other rows of 1-40 entries: the flat array, its
+        offsets and the row's index."""
+        others = data.draw(st.lists(ROW, max_size=6))
+        at = data.draw(st.integers(0, len(others)))
+        rows = [np.array(r) for r in others[:at]] + [np.array(row)] + [np.array(r) for r in others[at:]]
+        return np.concatenate(rows), np.cumsum([0] + [len(r) for r in rows]), at
+
+    @settings(max_examples=150, deadline=None)
+    @given(row=ROW, data=st.data())
+    def test_sums_and_normalized_rows(self, row, data):
+        flat, offsets, at = self.placed(data, row)
+        span = slice(offsets[at], offsets[at + 1])
+        alone = np.array([0, len(row)])
+        assert row_sums(flat, offsets)[at] == ltr_sum(row)
+        mask = flat > 1e-6
+        assert row_sums(flat, offsets, mask)[at] == ltr_sum(np.where(mask, flat, 0.0)[span])
+        got = normalize_rows(flat, offsets)[span]
+        assert got.tobytes() == normalize_rows(np.array(row), alone).tobytes()
+        assert got.tobytes() == normalize_simplex(np.array(row)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(row=ROW, data=st.data())
+    def test_cdf_and_entropy(self, row, data):
+        flat, offsets, at = self.placed(data, row)
+        flat = normalize_rows(flat, offsets)
+        names = [f"p{i}" for i in range(len(offsets) - 1)]
         space = PromptSpace(
-            {f"p{i}": tuple(f"c{j}" for j in range(n)) for i, n in enumerate(widths)},
-            {f"p{i}": {f"c{j}": "a" for j in range(n)} for i, n in enumerate(widths)},
+            {x: tuple(f"c{j}" for j in range(n)) for x, n in zip(names, np.diff(offsets).tolist())},
+            {x: {f"c{j}": "a" for j in range(n)} for x, n in zip(names, np.diff(offsets).tolist())},
         )
-        groups = space._length_groups()
-        assert space._length_groups() is groups
-        fresh = list(length_groups(space._offsets))
-        assert len(groups) == len(fresh)
-        for (rows, at), (rows2, at2) in zip(groups, fresh):
-            assert np.array_equal(rows, rows2) and np.array_equal(at, at2)
-            assert not rows.flags.writeable and not at.flags.writeable
-        values = rng.normal(size=space._bounds[-1])
-        assert (
-            row_sums(values, space._offsets, groups=groups).tobytes()
-            == row_sums(values, space._offsets).tobytes()
-        )
+        policy = TabularPolicy._trusted(space, flat)
+        p = policy.distribution(names[at])
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        assert policy._cdf_table()[offsets[at] : offsets[at + 1]].tobytes() == cdf.tobytes()
+        assert policy.entropy(names[at]) == reference_entropy(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(row=st.integers(1, 40), data=st.data())
+    def test_softmax_objective(self, row, data):
+        logit = st.floats(-30.0, 30.0, allow_subnormal=False)
+        count = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+        widths = [row] + data.draw(st.lists(st.integers(1, 40), max_size=6))
+        logits = [np.array(data.draw(st.lists(logit, min_size=n, max_size=n))) for n in widths]
+        counts = [np.array(data.draw(st.lists(count, min_size=n, max_size=n))) for n in widths]
+        temperature = data.draw(st.sampled_from([1.0, 0.6, 2.5]))
+        together = _objective_rows(*_pad_rows(logits, counts), temperature)[0]
+        alone = _objective_rows(*_pad_rows(logits[:1], counts[:1]), temperature)[0]
+        with np.errstate(divide="ignore"):
+            logp = np.log(reference_softmax(logits[0], temperature))
+        want = ltr_sum(np.where(counts[0] > 0, counts[0] * logp, 0.0))
+        assert np.float64(together).tobytes() == np.float64(alone).tobytes()
+        assert np.float64(together).tobytes() == np.float64(want).tobytes()

@@ -1,12 +1,16 @@
-"""Golden artifacts: pinned sha256 digests of three small runs and of the
+"""Golden artifacts: pinned sha256 digests of four small runs and of the
 five `verify` suites' `--out` reports.
 
 The digests cover every byte of `checkpoints/` and `datasets/` and the
 corpus files `tasks.jsonl` and `labels.jsonl`, so they pin the whole
 random-stream contract: the counter-based corpus draw and sampling streams,
 vote tie-breaks (the tabular run has 1 tied training vote of 150, the
-tabular-ties run 10 of 240, the softmax run 4 of 50; `TIED_VOTES` checks
-that each still ties), reward weights and both update backends.
+tabular-ties run 10 of 240, the tabular-long-rows run 6 of 225, the softmax
+run 4 of 50; `TIED_VOTES` checks that each still ties), reward weights and
+both update backends. The tabular-long-rows corpus has up to 6 distractor
+classes in 3 surface forms, so 21 of its 75 prompts have 8 or 9 chains:
+rows long enough that adding them left to right and `np.sum`'s pairwise
+order give different bits.
 `metrics.csv` and `summary.json` pin the evaluation: the maj@1/maj@k votes,
 mean entropies, realized objectives and the best round. A change that moves
 any of them must say so and re-record the digests below. The verify reports (seed 0) pin each suite's instances
@@ -34,6 +38,11 @@ RUNS = {
         "--corpus-surface-forms", "3", "--corpus-n-train", "80", "--corpus-n-test", "15",
         "--rounds", "3", "--patience", "3", "--seed", "2", "--corpus-seed", "2",
     ],
+    "tabular-long-rows": [
+        "--transform", "baseline_shifted", "--beta", "0.5", "--corpus-max-distractors", "6",
+        "--corpus-surface-forms", "3", "--corpus-n-train", "60", "--corpus-n-test", "15",
+        "--rounds", "3", "--patience", "3", "--seed", "2", "--corpus-seed", "2",
+    ],
     "softmax": [
         "--backend", "softmax", "--corpus-surface-forms", "3", "--corpus-n-train", "20",
         "--corpus-n-test", "5", "--rounds", "2", "--seed", "2", "--corpus-seed", "2",
@@ -57,6 +66,14 @@ GOLDEN = {
         "tasks.jsonl": "5ae03f1ef1ab73b99dd79d8a0606126b421e73d744c96e27b74d7c5305c0b1bb",
         "labels.jsonl": "3ff4db9679c4463b407bf343a5b9350ee3274e30c41a87f0e8e27f982c3e0123",
     },
+    "tabular-long-rows": {
+        "checkpoints": "7d00c12dee025f02a0d0f911cda58d6790099ef19107ce2eff078183147588e7",
+        "datasets": "10d015d8d7b6666293f7bd91861b7cb95cb738c581cc1311f3fc694eee289e6c",
+        "metrics.csv": "e305c881f9d87290375ce948eb0ec8d517231ce88adae54d70daff3016cd26de",
+        "summary.json": "54650ca441d3a9c725bbd55a78d18846fe5cafa84ae1f1d99b98f5852d6db0f1",
+        "tasks.jsonl": "1c8e756cfc3905c41f3ebb2243aa25b3028125180846f92751024f5415525c18",
+        "labels.jsonl": "4a023139e41fc9ce36bb39adb0509d1ee424758f43e9a973b82b057b3b138e22",
+    },
     "softmax": {
         "checkpoints": "a7a727424db5b58fa129cd0a89047bd590ad9dcca70e4008be8fd7367ea746da",
         "datasets": "cafa57abbfcddab1bc3faa484e846ebf51ac18f611657a45a818892140fca5f8",
@@ -68,7 +85,7 @@ GOLDEN = {
 }
 
 # Tied training votes of each run: one ("tie", round, prompt) substream each.
-TIED_VOTES = {"tabular-shifted": 1, "tabular-ties": 10, "softmax": 4}
+TIED_VOTES = {"tabular-shifted": 1, "tabular-ties": 10, "tabular-long-rows": 6, "softmax": 4}
 
 
 def tree_digest(path: Path) -> str:

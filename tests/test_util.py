@@ -204,16 +204,26 @@ class TestStreamStatistics:
         assert len(np.unique(draws[:, 0])) == 100_000
 
 
+def ltr_sum(row) -> float:
+    """The entries of a row added one at a time, first entry first; 0.0
+    for an empty row. Not builtin `sum`, which Python 3.12 compensates."""
+    values = np.asarray(row, dtype=float).tolist()
+    total = values[0] if values else 0.0
+    for v in values[1:]:
+        total += v
+    return total
+
+
 def normalize_simplex(raw: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """The one-row normalize that `util.normalize_rows` replaced, kept as
-    its reference."""
+    its reference, with the row added left to right."""
     raw = np.asarray(raw, dtype=float)
-    total = raw.sum()
+    total = ltr_sum(raw)
     out = raw.copy() if abs(total - 1.0) <= tol else raw / total
     small = (out < util.TINY_PROB) & (out > 0)
     if small.any():
         out[small] = 0.0
-        out = out / out.sum()
+        out = out / ltr_sum(out)
     return out
 
 
@@ -265,7 +275,7 @@ class TestNormalizeSimplex:
     @given(
         rows=st.lists(
             st.tuples(
-                st.lists(_ENTRIES, min_size=1, max_size=9).filter(lambda r: sum(r) > 0),
+                st.lists(_ENTRIES, min_size=1, max_size=40).filter(lambda r: max(r) > 0),
                 st.sampled_from(["raw", "normalized", "nudged"]),
                 st.floats(-1e-12, 1e-12),
             ),
@@ -279,14 +289,47 @@ class TestNormalizeSimplex:
         for entries, mode, nudge in rows:
             row = np.array(entries)
             if mode != "raw":
-                row = row / row.sum()  # within a few ulps of sum 1
+                row = row / ltr_sum(row)  # within a few ulps of sum 1
             if mode == "nudged":
                 row = row * (1.0 + nudge)  # within about 1e-12 of sum 1
             built.append(row)
         offsets = np.cumsum([0] + [len(r) for r in built])
         flat = np.concatenate(built)
         got = util.normalize_rows(flat, offsets, tol)
-        grouped = util.normalize_rows(flat, offsets, tol, tuple(util.length_groups(offsets)))
         want = np.concatenate([normalize_simplex(r, tol) for r in built])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(grouped.view(np.uint64), want.view(np.uint64))
+
+
+class TestRowSums:
+    """`util.row_cumsums` and `util.row_sums` add every row left to right."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=40),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_rows_equal_a_left_to_right_loop(self, rows, data):
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        flat = np.array([v for r in rows for v in r], dtype=float)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(flat), max_size=len(flat))), bool)
+        running = util.row_cumsums(flat, offsets)
+        sums, masked = util.row_sums(flat, offsets), util.row_sums(flat, offsets, mask)
+        for r, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
+            row = flat[start:end]
+            want = [ltr_sum(row[: i + 1]) for i in range(len(row))]
+            assert np.array_equal(running[start:end].view(np.uint64), np.array(want).view(np.uint64))
+            assert np.float64(sums[r]).tobytes() == np.float64(ltr_sum(row)).tobytes()
+            zeroed = np.where(mask[start:end], row, 0.0)
+            assert np.float64(masked[r]).tobytes() == np.float64(ltr_sum(zeroed)).tobytes()
+
+    def test_long_rows_differ_from_pairwise_np_sum(self):
+        # From 8 entries np.sum adds pairwise; the running sum does not, and
+        # on these 9 entries the two orders differ in the last bit.
+        row = np.array([1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16])
+        got = util.row_sums(row, np.array([0, 9]))[0]
+        assert got == ltr_sum(row) == 1.0
+        assert np.sum(row) > 1.0
