@@ -35,7 +35,8 @@ from .metrics import RoundReport, best_round_of
 from .optim import _realized_objective, _tilt_policy, solve_gradient
 from .policy import PromptSpace, SoftmaxPolicy, TabularPolicy, save_policy
 from .rewards import RewardTransform, log_transform
-from .util import _atomic_write, counter_random, substream
+from .util import INTEGER, NUMBER_OR_NULL, STRING, _atomic_write, _json_records
+from .util import counter_random, substream
 
 __all__ = [
     "RunConfig",
@@ -95,6 +96,12 @@ def _dataset_text(space: PromptSpace) -> tuple[np.ndarray, np.ndarray]:
         ]
         space._dataset_text = np.array(heads, object), np.array(pairs, object)
     return space._dataset_text
+
+
+_DATASET_FIELDS = dict(
+    round=INTEGER, prompt=STRING, candidate=INTEGER, chain=STRING, answer=STRING,
+    reward=INTEGER, log_weight=NUMBER_OR_NULL,
+)
 
 
 def _weight_json(lw: float) -> str:
@@ -168,34 +175,32 @@ class OfflineDataset:
         each label is the answer class of the prompt's rewarded rows.
 
         A file that is not a round of this space raises ValueError naming
-        the path: rows with different round values, a row whose prompt or
-        chain is outside the space or whose answer is not the space's answer
-        for that chain, a prompt of the space with no rows, prompts with
-        unequal candidate counts, a prompt whose candidate numbers are not
-        0..k-1, a prompt whose rewarded rows are empty or span several
-        answer classes, or a row whose reward is not 1 exactly when its
-        answer is in that class.
+        the path: a line without integer round, candidate and reward,
+        string prompt, chain and answer, and a number or null log_weight
+        (also naming the line), rows with different round values, a row
+        whose prompt or chain is outside the space or whose answer is not
+        the space's answer for that chain, a prompt of the space with no
+        rows, prompts with unequal candidate counts, a prompt whose
+        candidate numbers are not 0..k-1, a prompt whose rewarded rows are
+        empty or span several answer classes, or a row whose reward is not
+        1 exactly when its answer is in that class.
         """
         rows: list[list[tuple[int, int, int, float]]] = [[] for _ in space.prompts]
         rounds: set[int] = set()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                rounds.add(int(rec["round"]))
-                prompt, chain, answer = rec["prompt"], rec["chain"], rec["answer"]
-                row = space._row.get(prompt)
-                col = space._index[prompt].get(chain) if row is not None else None
-                if col is None or answer != space._answers[prompt][col]:
-                    problem = "is outside the prompt space" if col is None else (
-                        f"answers {answer!r}, not {space._answers[prompt][col]!r}"
-                    )
-                    raise ValueError(f"{path}: prompt {prompt!r} chain {chain!r} {problem}")
-                lw = rec["log_weight"]
-                lw = -math.inf if lw is None else float(lw)
-                at = space._bounds[row] + col
-                rows[row].append((int(rec["candidate"]), at, int(rec["reward"]), lw))
+        for _, rec in _json_records(path, _DATASET_FIELDS):
+            rounds.add(rec["round"])
+            prompt, chain, answer = rec["prompt"], rec["chain"], rec["answer"]
+            row = space._row.get(prompt)
+            col = space._index[prompt].get(chain) if row is not None else None
+            if col is None or answer != space._answers[prompt][col]:
+                problem = "is outside the prompt space" if col is None else (
+                    f"answers {answer!r}, not {space._answers[prompt][col]!r}"
+                )
+                raise ValueError(f"{path}: prompt {prompt!r} chain {chain!r} {problem}")
+            lw = rec["log_weight"]
+            lw = -math.inf if lw is None else float(lw)
+            at = space._bounds[row] + col
+            rows[row].append((rec["candidate"], at, rec["reward"], lw))
         if len(rounds) > 1:
             raise ValueError(f"{path}: rows have several round values {sorted(rounds)}")
         sizes = [len(entries) for entries in rows]

@@ -15,7 +15,6 @@ the training path has no code path that reads them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,7 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .policy import PromptSpace, TabularPolicy
-from .util import _SEP, counter_random, digest64
+from .util import _SEP, NUMBERS, STRING, STRING_MAP, STRINGS, _json_records, counter_random
+from .util import digest64
 
 __all__ = [
     "CorpusSpec",
@@ -232,35 +232,41 @@ def save_corpus(corpus: Corpus, tasks_path, labels_path) -> None:
             fh.write("".join(lines).encode("ascii"))
 
 
+_TASK_FIELDS = dict(prompt=STRING, split=STRING, chains=STRINGS, answers=STRING_MAP, probs=NUMBERS)
+
+
 def load_corpus(tasks_path) -> tuple[PromptSpace, TabularPolicy, dict[str, tuple[str, ...]]]:
     """Rebuild the prompt space, base policy, and splits from a tasks file.
 
-    Labels are deliberately not here; see load_labels.
+    Labels are deliberately not here; see load_labels. A line without a
+    string prompt and split, a list of string chains, an object of string
+    answers and a list of number probs, or whose prompt an earlier line
+    has, raises ValueError naming the path and line.
     """
     chains: dict[str, list[str]] = {}
     answers: dict[str, Mapping[str, str]] = {}
     probs: dict[str, list[float]] = {}
     split_lists: dict[str, list[str]] = {}
-    with open(tasks_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            prompt = rec["prompt"]
-            chains[prompt] = list(rec["chains"])
-            answers[prompt] = dict(rec["answers"])
-            probs[prompt] = [float(v) for v in rec["probs"]]
-            split_lists.setdefault(rec.get("split", "train"), []).append(prompt)
+    for number, rec in _json_records(tasks_path, _TASK_FIELDS):
+        prompt = rec["prompt"]
+        if prompt in chains:
+            raise ValueError(f"{tasks_path}: line {number}: prompt {prompt!r} repeats")
+        chains[prompt] = rec["chains"]
+        answers[prompt] = rec["answers"]
+        probs[prompt] = [float(v) for v in rec["probs"]]
+        split_lists.setdefault(rec["split"], []).append(prompt)
     space = PromptSpace(chains, answers)
     base = TabularPolicy(space, probs)
     return space, base, {s: tuple(v) for s, v in split_lists.items()}
 
 
 def load_labels(labels_path) -> dict[str, str]:
+    """Truth label of every prompt in a labels file. A line without a
+    string prompt and truth, or whose prompt an earlier line has, raises
+    ValueError naming the path and line."""
     labels: dict[str, str] = {}
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                labels[rec["prompt"]] = rec["truth"]
+    for number, rec in _json_records(labels_path, {"prompt": STRING, "truth": STRING}):
+        if rec["prompt"] in labels:
+            raise ValueError(f"{labels_path}: line {number}: prompt {rec['prompt']!r} repeats")
+        labels[rec["prompt"]] = rec["truth"]
     return labels

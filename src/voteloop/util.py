@@ -1,6 +1,6 @@
 """Shared plumbing: named random substreams, counter-based per-round
-draws, row sums and normalization over flat per-chain arrays, and atomic
-file replacement.
+draws, row sums and normalization over flat per-chain arrays, atomic
+file replacement, and checked JSON-lines records.
 
 Every row reduction adds the row left to right, first entry first
 (`row_cumsums`): an order that reads nothing but the row, so a batched
@@ -10,9 +10,10 @@ result equals the same steps on each row alone, bit for bit.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +43,39 @@ def _atomic_write(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+# JSON value kinds of record fields, (name, check). Types are compared
+# exactly: a bool is an int to Python, and no field takes one.
+INTEGER = ("an integer", lambda v: type(v) is int)
+STRING = ("a string", lambda v: type(v) is str)
+NUMBER_OR_NULL = ("a number or null", lambda v: v is None or type(v) in (int, float))
+STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
+NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(type(x) in (int, float) for x in v))
+STRING_MAP = ("an object of strings", lambda v: type(v) is dict and all(type(x) is str for x in v.values()))
+
+
+def _json_records(path, fields: Mapping[str, tuple[str, Callable]]) -> Iterator[tuple[int, dict]]:
+    """(line number, record) of every nonblank line of a JSON-lines file.
+    A line that is not a JSON object holding each field of `fields` with a
+    value of its kind raises ValueError naming the path and line number."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {number}"
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: not JSON ({exc})") from None
+            if type(rec) is not dict:
+                raise ValueError(f"{where}: not a JSON object")
+            for name, (kind, check) in fields.items():
+                if name not in rec:
+                    raise ValueError(f"{where}: no {name!r} field")
+                if not check(rec[name]):
+                    raise ValueError(f"{where}: {name!r} must be {kind}, got {rec[name]!r}")
+            yield number, rec
 
 
 def substream(seed: int, *tags: object) -> np.random.Generator:

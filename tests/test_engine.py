@@ -146,6 +146,45 @@ class TestGenerateRound:
         with pytest.raises(ValueError, match=r"round\.jsonl: .*" + message):
             OfflineDataset.load(path, space)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "not JSON"),
+            ('["round", 1]', "not a JSON object"),
+            ("drop:chain", "no 'chain' field"),
+            ('set:round:"x"', "'round' must be an integer, got 'x'"),
+            ("set:round:true", "'round' must be an integer, got True"),
+            ("set:candidate:1.7", "'candidate' must be an integer, got 1.7"),
+            ("set:reward:true", "'reward' must be an integer, got True"),
+            ("set:log_weight:true", "'log_weight' must be a number or null, got True"),
+            ('set:log_weight:"NaN"', "'log_weight' must be a number or null, got 'NaN'"),
+            ("set:prompt:5", "'prompt' must be a string, got 5"),
+            ('set:chain:["c0"]', r"'chain' must be a string, got \['c0'\]"),
+            ("set:answer:4", "'answer' must be a string, got 4"),
+        ],
+        ids=[
+            "not-json", "array", "missing-field", "string-round", "bool-round", "float-candidate",
+            "bool-reward", "bool-log-weight", "string-log-weight", "int-prompt", "list-chain",
+            "int-answer",
+        ],
+    )
+    def test_load_names_the_path_and_line_of_a_malformed_line(self, tmp_path, line, message):
+        policy = TabularPolicy.uniform(vote_space())
+        path = tmp_path / "round.jsonl"
+        generate_round(policy, policy.space, k=4, seed=2).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[2])
+        if line.startswith("drop:"):
+            del rec[line[5:]]
+            line = json.dumps(rec)
+        elif line.startswith("set:"):
+            _, field, value = line.split(":", 2)
+            line = json.dumps({**rec, field: json.loads(value)})
+        lines[2] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"round\.jsonl: line 3: " + message):
+            OfflineDataset.load(path, policy.space)
+
     def test_failed_save_keeps_the_previous_file(self, tmp_path):
         # 130 prompts make three blocks of writes; a pick outside the space
         # in row 100 fails the second block after the first was written.

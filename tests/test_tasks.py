@@ -482,3 +482,42 @@ class TestCorpusFiles:
         save_corpus(corpus, tasks_path, tmp_path / "labels.jsonl")
         text = tasks_path.read_text()
         assert '"truth"' not in text
+
+    def test_load_rejects_a_repeated_prompt(self, tmp_path):
+        corpus = make_corpus(small_spec())
+        tasks_path, labels_path = tmp_path / "tasks.jsonl", tmp_path / "labels.jsonl"
+        save_corpus(corpus, tasks_path, labels_path)
+        for path in (tasks_path, labels_path):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines + lines[4:5]), encoding="utf-8")
+        prompt = corpus.splits["train"][4]
+        line = len(corpus.space.prompts) + 1
+        with pytest.raises(ValueError, match=rf"tasks\.jsonl: line {line}: prompt '{prompt}' repeats"):
+            load_corpus(tasks_path)
+        with pytest.raises(ValueError, match=rf"labels\.jsonl: line {line}: prompt '{prompt}' repeats"):
+            load_labels(labels_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: "{not json", "not JSON"),
+            (lambda rec: json.dumps([rec]), "not a JSON object"),
+            (lambda rec: json.dumps({k: v for k, v in rec.items() if k != "split"}), "no 'split' field"),
+            (lambda rec: json.dumps({**rec, "prompt": 7}), "'prompt' must be a string, got 7"),
+            (lambda rec: json.dumps({**rec, "chains": "c0"}), "'chains' must be a list of strings"),
+            (lambda rec: json.dumps({**rec, "answers": {"c0": 1}}), "'answers' must be an object of strings"),
+            (lambda rec: json.dumps({**rec, "probs": ["0.5"]}), "'probs' must be a list of numbers"),
+            (lambda rec: json.dumps({**rec, "probs": [True]}), "'probs' must be a list of numbers"),
+        ],
+        ids=["not-json", "array", "missing-split", "int-prompt", "string-chains", "int-answer",
+             "string-prob", "bool-prob"],
+    )
+    def test_load_names_the_path_and_line_of_a_malformed_line(self, tmp_path, edit, message):
+        corpus = make_corpus(small_spec())
+        tasks_path = tmp_path / "tasks.jsonl"
+        save_corpus(corpus, tasks_path, tmp_path / "labels.jsonl")
+        lines = tasks_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = edit(json.loads(lines[1]))
+        tasks_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"tasks\.jsonl: line 2: " + message):
+            load_corpus(tasks_path)
