@@ -44,34 +44,24 @@ _RUN_KEYS = {
     "eval_k": int,
     "eval_samples": int,
 }
-_CORPUS_KEYS = {
-    "corpus_n_train": int,
-    "corpus_n_test": int,
-    "corpus_p_min": float,
-    "corpus_p_max": float,
-    "corpus_max_distractors": int,
-    "corpus_surface_forms": int,
-    "corpus_margin": float,
-    "corpus_seed": int,
-}
-_OTHER_KEYS = {"out_dir": str}
-CONFIG_KEYS = {**_RUN_KEYS, **_CORPUS_KEYS, **_OTHER_KEYS}
+
+
+def _corpus_config(spec: CorpusSpec) -> dict:
+    """`corpus_<field>` for every field of the spec, p_range split into
+    corpus_p_min and corpus_p_max: the config keys `_build_corpus_spec` reads."""
+    config = {f"corpus_{name}": value for name, value in vars(spec).items() if name != "p_range"}
+    config["corpus_p_min"], config["corpus_p_max"] = spec.p_range
+    return config
+
+
+# The corpus keys, their types and defaults are those of CorpusSpec's fields.
+DEFAULT_CONFIG = {"out_dir": "voteloop-run", **_corpus_config(CorpusSpec())}
+_CORPUS_KEYS = {key: type(value) for key, value in DEFAULT_CONFIG.items() if key != "out_dir"}
+CONFIG_KEYS = {**_RUN_KEYS, **_CORPUS_KEYS, "out_dir": str}
 # The JSON values each key type accepts (bool is an int to isinstance, and
 # no key takes it), and how an error names them.
 _ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-DEFAULT_CONFIG = {
-    "out_dir": "voteloop-run",
-    "corpus_n_train": 400,
-    "corpus_n_test": 100,
-    "corpus_p_min": 0.35,
-    "corpus_p_max": 0.95,
-    "corpus_max_distractors": 3,
-    "corpus_surface_forms": 1,
-    "corpus_margin": 0.1,
-    "corpus_seed": 0,
-}
 
 
 class ConfigError(Exception):
@@ -120,15 +110,8 @@ def _build_run_config(config: dict) -> RunConfig:
 
 def _build_corpus_spec(config: dict) -> CorpusSpec:
     try:
-        return CorpusSpec(
-            n_train=config["corpus_n_train"],
-            n_test=config["corpus_n_test"],
-            p_range=(config["corpus_p_min"], config["corpus_p_max"]),
-            max_distractors=config["corpus_max_distractors"],
-            surface_forms=config["corpus_surface_forms"],
-            margin=config["corpus_margin"],
-            seed=config["corpus_seed"],
-        )
+        fields = {key[len("corpus_") :]: config[key] for key in _CORPUS_KEYS}
+        return CorpusSpec(p_range=(fields.pop("p_min"), fields.pop("p_max")), **fields)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad corpus settings: {exc}") from None
 
@@ -303,23 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train on a synthetic corpus")
     p_run.add_argument("--config", help="flat JSON config file")
     p_run.add_argument("--out-dir", dest="out_dir")
-    p_run.add_argument("--k", type=int)
-    p_run.add_argument("--rounds", type=int)
-    p_run.add_argument("--patience", type=int)
-    p_run.add_argument("--transform", choices=["identity", "exponential", "baseline_shifted"])
-    p_run.add_argument("--beta", type=float)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--backend", choices=["tabular", "softmax"])
-    p_run.add_argument("--eval-k", dest="eval_k", type=int)
-    p_run.add_argument("--eval-samples", dest="eval_samples", type=int)
-    p_run.add_argument("--corpus-n-train", dest="corpus_n_train", type=int)
-    p_run.add_argument("--corpus-n-test", dest="corpus_n_test", type=int)
-    p_run.add_argument("--corpus-p-min", dest="corpus_p_min", type=float)
-    p_run.add_argument("--corpus-p-max", dest="corpus_p_max", type=float)
-    p_run.add_argument("--corpus-max-distractors", dest="corpus_max_distractors", type=int)
-    p_run.add_argument("--corpus-surface-forms", dest="corpus_surface_forms", type=int)
-    p_run.add_argument("--corpus-margin", dest="corpus_margin", type=float)
-    p_run.add_argument("--corpus-seed", dest="corpus_seed", type=int)
+    choices = {
+        "transform": ["identity", "exponential", "baseline_shifted"],
+        "backend": ["tabular", "softmax"],
+    }
+    for key, kind in {**_RUN_KEYS, **_CORPUS_KEYS}.items():
+        p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices.get(key))
     p_run.set_defaults(fn=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run an oracle suite")

@@ -8,6 +8,7 @@ import pytest
 from voteloop import cli
 from voteloop.cli import main
 from voteloop.metrics import RoundReport, emit_metrics
+from voteloop.tasks import CorpusSpec
 
 BASE_ARGS = [
     "--corpus-n-train", "12",
@@ -70,6 +71,9 @@ class TestRun:
         assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
         cfg.write_text(json.dumps({"rounds": 1, "workers": 2}))  # the removed parallelism knob
         assert run_cli(["run", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
+
+    def test_default_config_builds_the_default_corpus_spec(self):
+        assert cli._build_corpus_spec(cli.effective_config({}, {})) == CorpusSpec()
 
     def test_echoed_config_with_the_removed_warm_start_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
