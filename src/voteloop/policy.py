@@ -341,7 +341,7 @@ class _PolicyBase:
             bad = np.repeat(np.logical_or.reduceat(self._probs < 0, offsets[:-1]), lens)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cdf /= total
-            cdf[bad | ~(np.abs(total - 1.0) <= CHOICE_SUM_TOL)] = np.nan
+            cdf[bad | (np.abs(total - 1.0) > CHOICE_SUM_TOL)] = np.nan
             cdf.flags.writeable = False
             self._cdf = cdf
         return self._cdf
