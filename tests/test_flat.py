@@ -391,7 +391,7 @@ class TestRowsStandAlone:
         offsets and the row's index."""
         others = data.draw(st.lists(ROW, max_size=6))
         at = data.draw(st.integers(0, len(others)))
-        rows = [np.array(r) for r in others[:at]] + [np.array(row)] + [np.array(r) for r in others[at:]]
+        rows = [np.array(r) for r in [*others[:at], row, *others[at:]]]
         return np.concatenate(rows), np.cumsum([0] + [len(r) for r in rows]), at
 
     @settings(max_examples=150, deadline=None)
